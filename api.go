@@ -345,13 +345,6 @@ type Options struct {
 	// shared, process-wide BufferManager instead (the budget then spans
 	// every plan and StreamSet wired to it).
 	Buffers *BufferManager
-	// Parallel selects pipelined execution for EngineFlux: with a value
-	// >= 2, Execute runs tokenization, DTD validation and evaluation as
-	// pipeline stages on separate goroutines connected by bounded batch
-	// rings, so the scan overlaps the evaluator. 0 or 1 is the
-	// sequential pass. Output is byte-identical either way. StreamSet
-	// passes have their own switch, StreamSet.SetParallel.
-	Parallel int
 	// Telemetry, when non-nil, publishes the plan's execution metrics
 	// (pass counts, latency, input bytes and events) on the registry.
 	// StreamSet passes have their own hook, StreamSet.SetTelemetry.
@@ -622,7 +615,10 @@ func MustCompile(query, dtdSrc string, o Options) *Plan {
 
 // Execute runs the plan over an input document stream and writes the
 // result stream to w. It is safe for concurrent use: the plan is
-// read-only and all mutable state is per-call.
+// read-only and all mutable state is per-call. For the flux engine the
+// pass's width follows GOMAXPROCS: at 2 or more, tokenization and DTD
+// validation run as stages on their own goroutines, ahead of the
+// evaluator; at 1 they run inline. Output is byte-identical either way.
 func (p *Plan) Execute(r io.Reader, w io.Writer) (Stats, error) {
 	return p.execute(nil, r, w, nil)
 }
@@ -641,9 +637,10 @@ func (p *Plan) ExecuteContext(ctx context.Context, r io.Reader, w io.Writer) (St
 // execution's span tree alongside the stats. id tags the trace (a
 // request id, a file name — anything that correlates it with its
 // caller); the trace's PassID matches Stats.PassID. For the flux engine
-// the tree breaks the pass into scan/eval spans (pipelined executions
-// add tokenize/validate stage spans with stall attribution and ring
-// high-water marks); the baseline engines report a root span only.
+// the tree breaks the pass into scan/eval spans (staged passes, at
+// GOMAXPROCS >= 2, add tokenize/validate stage spans with stall
+// attribution and ring high-water marks); the baseline engines report a
+// root span only.
 func (p *Plan) ExecuteTrace(r io.Reader, w io.Writer, id string) (Stats, *Trace, error) {
 	tr := telemetry.NewTrace(id)
 	st, err := p.execute(nil, r, w, tr)
@@ -659,11 +656,7 @@ func (p *Plan) execute(ctx context.Context, r io.Reader, w io.Writer, tr *teleme
 	var err error
 	switch p.opts.Engine {
 	case EngineFlux:
-		if p.opts.Parallel >= 2 {
-			rst, err = p.phys.RunManagedParallelTraceContext(ctx, r, w, p.bufs, tr)
-		} else {
-			rst, err = p.phys.RunManagedTraceContext(ctx, r, w, p.bufs, tr)
-		}
+		rst, err = p.phys.RunManagedTraceContext(ctx, r, w, p.bufs, tr)
 	case EngineProjection:
 		rst, err = baseline.RunProjection(p.optimized, p.d, r, w)
 	case EngineNaive:
@@ -727,6 +720,12 @@ func (p *Plan) ExecuteString(doc string) (string, Stats, error) {
 // times, a StreamSet scans it once and fans the validated events out to
 // every registered plan; each plan's output is byte-identical to what its
 // own Execute would produce.
+//
+// A pass's width follows GOMAXPROCS. At 2 or more, tokenize and validate
+// run as stages on their own goroutines, and min(GOMAXPROCS, plans) feed
+// workers shard the plan set by cost estimate (idle workers steal plans
+// from loaded ones). At 1, batches are filled inline and fanned out from
+// the calling goroutine. LastPass reports the form and the worker count.
 //
 // Plans are registered with a per-plan output writer and can be
 // registered and unregistered concurrently with Run: registrations take
@@ -795,15 +794,6 @@ func (s *StreamSet) SetBuffers(b *BufferManager) {
 	}
 	s.set.SetBuffers(b.m)
 }
-
-// SetParallel selects how the set's shared passes execute: n >= 2 runs
-// the staged pipeline — tokenize, validate and dispatch on separate
-// goroutines connected by bounded batch rings, with up to n feed
-// workers sharding the plan set by cost estimate (idle workers steal
-// plans from loaded ones) — while 0 or 1 keeps the sequential
-// single-goroutine pass. Per-plan outputs are byte-identical either
-// way. Takes effect at the next Run.
-func (s *StreamSet) SetParallel(n int) { s.set.SetParallel(n) }
 
 // Dispatch selects how a StreamSet's shared passes fan the validated
 // event stream out to the registered plans.
@@ -881,7 +871,7 @@ func (s *StreamSet) SetTelemetry(t *Telemetry) {
 
 // SetTracing toggles per-pass span tracing. While enabled, every Run
 // builds a span tree — scan and dispatch phases, one eval span per
-// riding plan, stage spans with stall attribution for pipelined passes
+// riding plan, stage spans with stall attribution for staged passes
 // — retrievable through LastTrace. id tags the traces (reused across
 // runs until changed). Takes effect at the next Run.
 func (s *StreamSet) SetTracing(on bool, id string) { s.set.SetTracing(on, id) }
@@ -1092,10 +1082,15 @@ func (s *StreamSet) SetLedger(q *QueryLedger) {
 // Ledger returns the installed cost ledger (nil when none).
 func (s *StreamSet) Ledger() *QueryLedger { return s.led }
 
-// PassStats reports the pipeline metrics of a parallel shared pass (all
-// zeros after sequential passes).
+// PassStats reports the execution metrics of a shared pass.
 type PassStats struct {
-	// Parallel is the evaluator worker count the pass ran with.
+	// Staged reports the pass's form: true when tokenize and validate
+	// ran as stages on their own goroutines (GOMAXPROCS >= 2), false
+	// when the pass filled its batches inline. The stage stalls and ring
+	// peaks below are recorded only for staged passes.
+	Staged bool
+	// Parallel is the feed worker count the pass ran with:
+	// min(GOMAXPROCS, plans), at least 1.
 	Parallel int
 	// Batches counts validated event batches fanned out to the plans.
 	Batches int64
@@ -1116,11 +1111,12 @@ type PassStats struct {
 	EventRingPeak int
 }
 
-// LastPass returns the pipeline metrics of the most recent successfully
+// LastPass returns the execution metrics of the most recent successfully
 // completed Run.
 func (s *StreamSet) LastPass() PassStats {
 	ps := s.set.LastPass()
 	return PassStats{
+		Staged:        ps.Staged,
 		Parallel:      ps.Parallel,
 		Batches:       ps.Batches,
 		Steals:        ps.Steals,

@@ -32,7 +32,7 @@ func budgetRef(t *testing.T, c *workload.Case, doc []byte) (string, Stats) {
 // TestBudgetDifferentialPolicies: every workload case — the corpus and
 // all 8 XMark streaming queries — produces byte-identical output
 // unbudgeted, under BufferSpill with a budget at half the natural peak,
-// and under BufferBackpressure. For the accrual (join) workloads, whose
+// and under BufferBackpressure, inline and staged. For the accrual (join) workloads, whose
 // buffers grow with the document, spill mode must also actually spill
 // while the reported live heap peak stays under the budget.
 func TestBudgetDifferentialPolicies(t *testing.T) {
@@ -51,35 +51,41 @@ func TestBudgetDifferentialPolicies(t *testing.T) {
 				// check a budget does not disturb it.
 				budget = 512
 			}
-			for _, pol := range []BufferPolicy{BufferSpill, BufferBackpressure} {
-				p := MustCompile(c.Query, c.DTD, Options{
-					BufferBudget:   budget,
-					BufferPolicy:   pol,
-					BufferSpillDir: t.TempDir(),
-				})
-				out, st, err := p.ExecuteString(string(doc))
-				if err != nil {
-					t.Fatalf("%v: %v", pol, err)
-				}
-				if out != ref {
-					t.Fatalf("%v: output differs from unbudgeted run (budget %d, natural peak %d)",
-						pol, budget, refSt.PeakBufferBytes)
-				}
-				if st.PeakBufferBytes != refSt.PeakBufferBytes {
-					t.Errorf("%v: logical peak changed: %d vs %d (the paper metric must not depend on the budget)",
-						pol, st.PeakBufferBytes, refSt.PeakBufferBytes)
-				}
-				if c.Join && pol == BufferSpill && refSt.PeakBufferBytes > 2048 {
-					if st.SpilledBytes == 0 {
-						t.Errorf("spill: accrual workload spilled nothing (budget %d, peak %d)",
-							budget, refSt.PeakBufferBytes)
+			// Both pass forms: inline (GOMAXPROCS=1), where the gate
+			// throttles the dispatching goroutine, and staged, where it
+			// throttles the tokenizer stage.
+			for _, procs := range []int{1, 2} {
+				withProcs(t, procs)
+				for _, pol := range []BufferPolicy{BufferSpill, BufferBackpressure} {
+					p := MustCompile(c.Query, c.DTD, Options{
+						BufferBudget:   budget,
+						BufferPolicy:   pol,
+						BufferSpillDir: t.TempDir(),
+					})
+					out, st, err := p.ExecuteString(string(doc))
+					if err != nil {
+						t.Fatalf("procs=%d %v: %v", procs, pol, err)
 					}
-					if st.PeakHeapBufferBytes > budget {
-						t.Errorf("spill: live heap peak %d exceeds budget %d",
-							st.PeakHeapBufferBytes, budget)
+					if out != ref {
+						t.Fatalf("procs=%d %v: output differs from unbudgeted run (budget %d, natural peak %d)",
+							procs, pol, budget, refSt.PeakBufferBytes)
 					}
-					if st.RehydratedBytes == 0 {
-						t.Errorf("spill: nothing rehydrated although output needed the buffers")
+					if st.PeakBufferBytes != refSt.PeakBufferBytes {
+						t.Errorf("procs=%d %v: logical peak changed: %d vs %d (the paper metric must not depend on the budget)",
+							procs, pol, st.PeakBufferBytes, refSt.PeakBufferBytes)
+					}
+					if c.Join && pol == BufferSpill && refSt.PeakBufferBytes > 2048 {
+						if st.SpilledBytes == 0 {
+							t.Errorf("spill: accrual workload spilled nothing (budget %d, peak %d)",
+								budget, refSt.PeakBufferBytes)
+						}
+						if st.PeakHeapBufferBytes > budget {
+							t.Errorf("spill: live heap peak %d exceeds budget %d",
+								st.PeakHeapBufferBytes, budget)
+						}
+						if st.RehydratedBytes == 0 {
+							t.Errorf("spill: nothing rehydrated although output needed the buffers")
+						}
 					}
 				}
 			}
@@ -248,7 +254,7 @@ func TestBudgetSpillSharedPass(t *testing.T) {
 		t.Error("budgeted shared pass spilled nothing")
 	}
 	if mt.PeakReservedBytes > budget {
-		t.Errorf("global reservation peak %d exceeds budget %d", mt.PeakReservedBytes, budget)
+		t.Errorf("global reservation peak %d exceeds budget %d %+v", mt.PeakReservedBytes, budget, mt)
 	}
 	if mt.ReservedBytes != 0 {
 		t.Errorf("reservations leak: %d bytes still held", mt.ReservedBytes)

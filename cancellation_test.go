@@ -59,11 +59,11 @@ func settleGoroutines(t *testing.T, base int) {
 	}
 }
 
-// TestMidStreamCancelDifferential: at widths 1 (sequential), 4 and 8,
-// cancelling a context mid-pass terminates Run within 100ms, the pass
-// and every riding plan report the context error, and a follow-up
-// clean run over the same set produces output byte-identical to the
-// sequential reference.
+// TestMidStreamCancelDifferential: at GOMAXPROCS 1 (the inline pass), 4
+// and 8 (staged), cancelling a context mid-pass terminates Run within
+// 100ms, the pass and every riding plan report the context error, and a
+// follow-up clean run over the same set produces output byte-identical
+// to the single-plan reference.
 func TestMidStreamCancelDifferential(t *testing.T) {
 	c := workload.ByName("xmp-q3-weak")
 	doc := genCorpusDoc(t, c, 120_000)
@@ -80,8 +80,8 @@ func TestMidStreamCancelDifferential(t *testing.T) {
 	base := goroutineBase()
 	for _, width := range []int{1, 4, 8} {
 		t.Run(widthName(width), func(t *testing.T) {
+			withProcs(t, width)
 			set := NewStreamSet(d)
-			set.SetParallel(width)
 			const nq = 4
 			outs := make([]*bytes.Buffer, nq)
 			regs := make([]*StreamQuery, nq)
@@ -121,7 +121,7 @@ func TestMidStreamCancelDifferential(t *testing.T) {
 			}
 
 			// The set stays usable: a clean run is byte-identical to the
-			// sequential single-plan reference for every query.
+			// single-plan reference for every query.
 			for _, b := range outs {
 				b.Reset()
 			}
@@ -140,7 +140,7 @@ func TestMidStreamCancelDifferential(t *testing.T) {
 
 // TestDeadlineExpiryTerminatesPass: a context deadline behaves like a
 // cancel — prompt termination with context.DeadlineExceeded on the
-// pass and on every plan.
+// pass and on every plan, inline and staged.
 func TestDeadlineExpiryTerminatesPass(t *testing.T) {
 	c := workload.ByName("xmp-q3-weak")
 	doc := genCorpusDoc(t, c, 120_000)
@@ -148,24 +148,26 @@ func TestDeadlineExpiryTerminatesPass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := NewStreamSet(d)
-	set.SetParallel(4)
-	reg, err := set.Register(MustCompile(c.Query, c.DTD, Options{}), io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	err = set.RunContext(ctx, &slowReader{r: bytes.NewReader(doc), chunk: 2048, delay: time.Millisecond})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("pass error = %v, want context.DeadlineExceeded", err)
-	}
-	if el := time.Since(start); el > 200*time.Millisecond {
-		t.Errorf("deadline expiry took %v to terminate the pass", el)
-	}
-	if _, rerr := reg.Stats(); !errors.Is(rerr, context.DeadlineExceeded) {
-		t.Errorf("query result = %v, want context.DeadlineExceeded", rerr)
+	for _, procs := range []int{1, 4} {
+		withProcs(t, procs)
+		set := NewStreamSet(d)
+		reg, err := set.Register(MustCompile(c.Query, c.DTD, Options{}), io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
+		start := time.Now()
+		err = set.RunContext(ctx, &slowReader{r: bytes.NewReader(doc), chunk: 2048, delay: time.Millisecond})
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("procs=%d: pass error = %v, want context.DeadlineExceeded", procs, err)
+		}
+		if el := time.Since(start); el > 200*time.Millisecond {
+			t.Errorf("procs=%d: deadline expiry took %v to terminate the pass", procs, el)
+		}
+		if _, rerr := reg.Stats(); !errors.Is(rerr, context.DeadlineExceeded) {
+			t.Errorf("procs=%d: query result = %v, want context.DeadlineExceeded", procs, rerr)
+		}
 	}
 }
 
@@ -247,8 +249,20 @@ func goroutineBase() int {
 	return goruntime.NumGoroutine() + 2
 }
 
+// widthName labels a GOMAXPROCS subtest: "sequential" is the inline pass
+// at GOMAXPROCS=1, "parallelN" the staged pass at GOMAXPROCS=N.
 func widthName(w int) string {
 	return map[int]string{1: "sequential", 4: "parallel4", 8: "parallel8"}[w]
+}
+
+// cellWidths are the GOMAXPROCS values a fault site's cells run at. The
+// ring sites exist only in the staged pass; every other site runs in
+// both forms.
+func cellWidths(site string) []int {
+	if site == faultinj.SiteRingToken || site == faultinj.SiteRingEvent {
+		return []int{4}
+	}
+	return []int{1, 4}
 }
 
 // TestFaultMatrix: every fault site × mode. A cell passes only when the
@@ -265,36 +279,39 @@ func TestFaultMatrix(t *testing.T) {
 	for _, site := range faultinj.Sites() {
 		for _, mode := range faultinj.Modes() {
 			t.Run(site+"/"+mode.String(), func(t *testing.T) {
-				faultinj.Reset()
-				f := faultinj.Fault{Mode: mode}
-				if mode == faultinj.ModeLatency {
-					f.Latency = 100 * time.Microsecond
-				}
-				if err := faultinj.Arm(site, f); err != nil {
-					t.Fatal(err)
-				}
-				err := h.run(t, site)
-				injected := faultinj.Injected(site)
-				faultinj.Reset()
-				if injected == 0 {
-					t.Fatalf("site %s never reached under its workload — the hook has gone dead", site)
-				}
-				if mode == faultinj.ModeLatency {
-					if err != nil {
-						t.Fatalf("latency fault failed the pass: %v", err)
+				for _, procs := range cellWidths(site) {
+					withProcs(t, procs)
+					faultinj.Reset()
+					f := faultinj.Fault{Mode: mode}
+					if mode == faultinj.ModeLatency {
+						f.Latency = 100 * time.Microsecond
 					}
-				} else {
-					if err == nil {
-						t.Fatalf("%s fault at %s was swallowed: pass succeeded", mode, site)
+					if err := faultinj.Arm(site, f); err != nil {
+						t.Fatal(err)
 					}
-					if !errors.Is(err, faultinj.ErrInjected) {
-						t.Fatalf("pass error lost the injection chain: %v", err)
+					err := h.run(t, site)
+					injected := faultinj.Injected(site)
+					faultinj.Reset()
+					if injected == 0 {
+						t.Fatalf("procs=%d: site %s never reached under its workload — the hook has gone dead", procs, site)
 					}
+					if mode == faultinj.ModeLatency {
+						if err != nil {
+							t.Fatalf("procs=%d: latency fault failed the pass: %v", procs, err)
+						}
+					} else {
+						if err == nil {
+							t.Fatalf("procs=%d: %s fault at %s was swallowed: pass succeeded", procs, mode, site)
+						}
+						if !errors.Is(err, faultinj.ErrInjected) {
+							t.Fatalf("procs=%d: pass error lost the injection chain: %v", procs, err)
+						}
+					}
+					if live := h.mgr.Metrics().SpillSegsLive; live != 0 {
+						t.Errorf("procs=%d: %d spill segments live after the faulted pass", procs, live)
+					}
+					h.verifyClean(t, site)
 				}
-				if live := h.mgr.Metrics().SpillSegsLive; live != 0 {
-					t.Errorf("%d spill segments live after the faulted pass", live)
-				}
-				h.verifyClean(t, site)
 			})
 		}
 	}
@@ -345,7 +362,7 @@ func TestTransientFirstReadErrorSurfaces(t *testing.T) {
 }
 
 // matrixHarness pre-builds one workload per fault site family: a
-// budgeted spilling pass (spill.*), a pipelined shared pass (ring.*),
+// budgeted spilling pass (spill.*), a staged shared pass (ring.*),
 // and a pass reading through a faultinj.Reader (body.read).
 type matrixHarness struct {
 	mgr      *BufferManager
@@ -387,7 +404,6 @@ func newMatrixHarness(t *testing.T) *matrixHarness {
 		t.Fatal(err)
 	}
 	h.ringSet = NewStreamSet(d)
-	h.ringSet.SetParallel(4)
 	for i := 0; i < 4; i++ {
 		out := &bytes.Buffer{}
 		h.ringOuts = append(h.ringOuts, out)

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	goruntime "runtime"
 	"time"
 
 	"fluxquery"
@@ -41,8 +42,8 @@ type faultHarness struct {
 	// its natural peak, so every run writes and rehydrates segments.
 	spillPlan *fluxquery.Plan
 	spillDoc  []byte
-	// ring: a pipelined shared pass (tokenize/validate stages on their
-	// own goroutines), so both ring hand-offs run.
+	// ring: a staged shared pass (tokenize/validate stages on their own
+	// goroutines, run at GOMAXPROCS >= 2), so both ring hand-offs run.
 	ringSet *fluxquery.StreamSet
 	ringDoc []byte
 	// body: a plain pass whose input rides a faultinj.Reader at the
@@ -78,7 +79,6 @@ func newFaultHarness(r *runner) (*faultHarness, error) {
 		return nil, err
 	}
 	set := fluxquery.NewStreamSet(d)
-	set.SetParallel(4)
 	for g := 0; g < 4; g++ {
 		p := fluxquery.MustCompile(mqQuery(g), mqDTD(), fluxquery.Options{})
 		if _, err := set.Register(p, io.Discard); err != nil {
@@ -97,6 +97,11 @@ func (h *faultHarness) run(name string) error {
 		_, err := h.spillPlan.Execute(bytes.NewReader(h.spillDoc), io.Discard)
 		return err
 	case "ring":
+		// The rings exist only in the staged pass, which needs a width
+		// of at least 2.
+		if goruntime.GOMAXPROCS(0) < 2 {
+			defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(2))
+		}
 		return h.ringSet.Run(bytes.NewReader(h.ringDoc))
 	case "body":
 		_, err := h.bodyPlan.Execute(

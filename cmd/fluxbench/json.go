@@ -56,12 +56,13 @@ type record struct {
 	RehydratedBytes     int64  `json:"rehydrated_bytes,omitempty"`
 	PeakHeapBufferBytes int64  `json:"peak_heap_buffer_bytes,omitempty"`
 	StallNs             int64  `json:"stall_ns,omitempty"`
-	// GoMaxProcs is the scheduler width of the measuring process — a
-	// parallel measurement from a 1-CPU run is not comparable to one
-	// from 8, so the record carries it.
+	// GoMaxProcs is the scheduler width of the measurement — it sets the
+	// pass width, so a measurement from a 1-CPU run is not comparable to
+	// one from 8 and the record carries it. The `parallel` suite sets it
+	// per record.
 	GoMaxProcs int `json:"gomaxprocs,omitempty"`
-	// Parallel is the feed-worker count of a pipelined measurement (the
-	// `parallel` suite; 0 = sequential pass). The remaining fields
+	// Parallel is the feed-worker count of a staged measurement (the
+	// `parallel` suite; 0 = inline pass). The remaining fields
 	// describe that pass: work-steal events between evaluator workers,
 	// per-stage stall time (tokenizer blocked on a full ring, validator
 	// blocked on a full ring, dispatcher blocked on an empty ring) and
@@ -266,7 +267,8 @@ func collectRecords(r *runner) ([]record, error) {
 	}
 	records = append(records, budgeted...)
 
-	// Parallel suite: the pipelined shared pass vs the sequential one.
+	// Parallel suite: the shared pass at GOMAXPROCS=1 (inline) and at the
+	// machine's width (staged).
 	par, err := parallelRecords(r)
 	if err != nil {
 		return nil, err
@@ -283,18 +285,23 @@ func collectRecords(r *runner) ([]record, error) {
 
 	gmp := goruntime.GOMAXPROCS(0)
 	for i := range records {
-		records[i].GoMaxProcs = gmp
+		if records[i].GoMaxProcs == 0 {
+			records[i].GoMaxProcs = gmp
+		}
 	}
 	return records, nil
 }
 
-// parallelRecords measures the tentpole: all 8 streaming XMark queries
-// riding one auction stream, first as the sequential shared pass, then
-// pipelined (tokenize ∥ validate ∥ dispatch with r.parallel feed
-// workers sharding the plan set). Both records carry the same suite,
-// query, plans and proj, differing in engine — so a -baseline diff
-// tracks each independently — and the pipelined record adds the
-// per-stage stall, steal and ring-occupancy evidence.
+// parallelRecords measures the pass width: all 8 streaming XMark
+// queries riding one auction stream, once at GOMAXPROCS=1 (the inline
+// pass: batches filled on the dispatching goroutine, one feed worker)
+// and once at the machine's width (the staged pass: tokenize ∥ validate
+// ∥ dispatch with min(GOMAXPROCS, plans) feed workers sharding the plan
+// set). The sweep sets GOMAXPROCS in-process and restores it. Both
+// records carry the same suite, query, plans and proj, differing in
+// engine ("flux-mqe-seq" and "flux-mqe-parallel") and gomaxprocs — so a
+// -baseline diff tracks each independently — and the staged record adds
+// the per-stage stall, steal and ring-occupancy evidence.
 func parallelRecords(r *runner) ([]record, error) {
 	names := []string{
 		"xmark-q1", "xmark-q8-join", "xmark-q13", "xmark-q2-bidders",
@@ -315,15 +322,15 @@ func parallelRecords(r *runner) ([]record, error) {
 		plans[i] = fluxquery.MustCompile(c.Query, c.DTD, fluxquery.Options{})
 	}
 	aggregate := int64(len(doc)) * int64(len(plans))
-	workers := r.parallel
-	if workers < 2 {
-		workers = 4
-	}
+	// The staged record runs at the machine's width, but at least 2 so
+	// it measures the staged form even on a 1-CPU host.
+	wide := max(goruntime.NumCPU(), 2)
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(0))
 
 	var records []record
-	for _, par := range []int{0, workers} {
+	for _, procs := range []int{1, wide} {
+		goruntime.GOMAXPROCS(procs)
 		set := fluxquery.NewStreamSet(d)
-		set.SetParallel(par)
 		frec := benchRecorder(r.reps)
 		set.SetRecorder(frec)
 		regs := make([]*fluxquery.StreamQuery, len(plans))
@@ -361,9 +368,9 @@ func parallelRecords(r *runner) ([]record, error) {
 			EventsDelivered: sc.EventsDelivered,
 			EventsSkipped:   sc.EventsSkipped,
 			BytesSkipped:    sc.BytesSkipped,
+			GoMaxProcs:      procs,
 		}
-		if par >= 2 {
-			ps := set.LastPass()
+		if ps := set.LastPass(); ps.Staged {
 			rec.Engine = "flux-mqe-parallel"
 			rec.Parallel = ps.Parallel
 			rec.Steals = ps.Steals

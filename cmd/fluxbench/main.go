@@ -78,7 +78,6 @@ func run() int {
 		budget     = flag.String("budget", "", "byte budget for the budgeted (spill) suite, e.g. 512K or 64M; empty = half of each workload's natural peak")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the measured work to this file")
 		memProf    = flag.String("memprofile", "", "write a heap profile (taken after the measured work) to this file")
-		parallel   = flag.Int("parallel", 4, "feed-worker count of the parallel suite's pipelined shared pass")
 		fault      = flag.String("fault", "", "fault-injection mode: \"sweep\" runs every site x mode; any other value is a faultinj ArmSpec (site:mode[:param], comma-separated) armed for one run")
 	)
 	flag.Parse()
@@ -114,7 +113,7 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "fluxbench: -budget: %v\n", err)
 		return 1
 	}
-	r := &runner{scale: *scale, reps: *reps, budget: budgetBytes, parallel: *parallel, w: os.Stdout}
+	r := &runner{scale: *scale, reps: *reps, budget: budgetBytes, w: os.Stdout}
 	if *fault != "" {
 		return runFault(r, *fault)
 	}
@@ -157,10 +156,7 @@ type runner struct {
 	// budget overrides the budgeted suite's byte budget (0 = half of
 	// each workload's measured natural peak).
 	budget int64
-	// parallel is the feed-worker count of the parallel suite's
-	// pipelined measurement.
-	parallel int
-	w        io.Writer
+	w      io.Writer
 }
 
 type measurement struct {

@@ -75,7 +75,8 @@ func TestJSONModeWritesRecords(t *testing.T) {
 	// Per case: flux with projection off and fast, plus the two baseline
 	// engines. Shared-stream: the mqe pass with projection off and fast,
 	// plus the sequential comparison. Budgeted: the two spill workloads.
-	// Parallel: the sequential and pipelined shared-pass pair.
+	// Parallel: the shared pass at GOMAXPROCS=1 (inline) and at the
+	// machine's width (staged).
 	// Multiquery: trie dispatch at 100/1k/10k plus fanout at 100.
 	wantWorkload := len(workload.Cases) * 4
 	if len(records) != wantWorkload+3+2+2+4 {
@@ -97,12 +98,12 @@ func TestJSONModeWritesRecords(t *testing.T) {
 			}
 			switch rec.Engine {
 			case "flux-mqe-seq":
-				if rec.Parallel != 0 {
-					t.Errorf("sequential record carries parallel=%d", rec.Parallel)
+				if rec.Parallel != 0 || rec.GoMaxProcs != 1 {
+					t.Errorf("inline record at gomaxprocs=%d carries parallel=%d", rec.GoMaxProcs, rec.Parallel)
 				}
 			case "flux-mqe-parallel":
-				if rec.Parallel < 2 {
-					t.Errorf("pipelined record without parallel field: %+v", rec)
+				if rec.Parallel < 2 || rec.GoMaxProcs < 2 {
+					t.Errorf("staged record without its width: %+v", rec)
 				}
 			default:
 				t.Errorf("unexpected parallel-suite engine %q", rec.Engine)

@@ -4,6 +4,12 @@
 // flags; they are then evaluated over the input in a single shared
 // tokenize+validate pass (the multi-query engine).
 //
+// The flux engine's pass width follows GOMAXPROCS: at 2 or more,
+// tokenization and validation run as stages on their own goroutines and
+// several queries are fed by min(GOMAXPROCS, queries) workers; at
+// GOMAXPROCS=1 the pass runs inline on one goroutine. Set the GOMAXPROCS
+// environment variable to choose; output is byte-identical either way.
+//
 // Usage:
 //
 //	fluxquery -dtd bib.dtd -query 'query text' [-in doc.xml] [-out result.xml]
@@ -38,7 +44,6 @@ func main() {
 		validate   = flag.Bool("validate", false, "only validate the input against the DTD")
 		noOpt      = flag.Bool("no-optimizer", false, "disable the algebraic optimizer")
 		projMode   = flag.String("proj", "fast", "stream projection: fast (bulk-skip irrelevant subtrees), validate (skip delivery, full validation) or off")
-		parallel   = flag.Int("parallel", 1, "pipelined execution: >= 2 runs tokenize/validate/dispatch on separate goroutines with that many feed workers (flux engine only); 0 or 1 is sequential")
 		trace      = flag.Bool("trace", false, "print the execution's span timeline (scan/eval phases, stalls, ring peaks) to stderr")
 	)
 	var queryFiles multiFlag
@@ -57,7 +62,6 @@ func main() {
 		validate:   *validate,
 		noOpt:      *noOpt,
 		projMode:   *projMode,
-		parallel:   *parallel,
 		trace:      *trace,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "fluxquery:", err)
@@ -84,7 +88,6 @@ type options struct {
 	validate   bool
 	noOpt      bool
 	projMode   string
-	parallel   int
 	trace      bool
 }
 
@@ -177,9 +180,6 @@ func run(o options) error {
 	if len(queries) > 1 && engine != fluxquery.EngineFlux {
 		return fmt.Errorf("multiple queries require -engine flux (shared event streams)")
 	}
-	if o.parallel >= 2 && engine != fluxquery.EngineFlux {
-		return fmt.Errorf("-parallel requires -engine flux (pipelined shared passes)")
-	}
 	plans := make([]*fluxquery.Plan, len(queries))
 	for i, nq := range queries {
 		q, err := fluxquery.ParseQuery(nq.text)
@@ -190,7 +190,6 @@ func run(o options) error {
 			Engine:           engine,
 			DisableOptimizer: o.noOpt,
 			Projection:       projection,
-			Parallel:         o.parallel,
 		})
 		if err != nil {
 			return fmt.Errorf("%s: %w", nq.name, err)
@@ -257,7 +256,6 @@ func run(o options) error {
 	// separated by a comment naming the query.
 	set := fluxquery.NewStreamSet(d)
 	set.SetProjection(projection)
-	set.SetParallel(o.parallel)
 	set.SetTracing(o.trace, "cli")
 	outs := make([]*bytes.Buffer, len(plans))
 	regs := make([]*fluxquery.StreamQuery, len(plans))
@@ -299,7 +297,7 @@ func run(o options) error {
 		sc := set.LastScan()
 		fmt.Fprintf(os.Stderr, "shared-pass proj=%s passes=%d scan-delivered=%d scan-skipped=%d scan-subtrees=%d scan-bytes-skipped=%d\n",
 			o.projMode, sc.Passes, sc.EventsDelivered, sc.EventsSkipped, sc.SubtreesSkipped, sc.BytesSkipped)
-		if ps := set.LastPass(); ps.Parallel >= 2 {
+		if ps := set.LastPass(); ps.Staged {
 			fmt.Fprintf(os.Stderr, "shared-pass parallel=%d batches=%d steals=%d tok-stall=%v val-stall=%v disp-stall=%v ring-peak=%d/%d\n",
 				ps.Parallel, ps.Batches, ps.Steals,
 				ps.TokenizeStall.Round(time.Microsecond), ps.ValidateStall.Round(time.Microsecond),

@@ -320,14 +320,14 @@ func settleGoroutines(t *testing.T, baseline int) {
 }
 
 // TestDebugEndpointsChurnRace scrapes /debug/passes and /top while
-// pipelined evals and register/unregister churn run concurrently;
+// staged evals and register/unregister churn run concurrently;
 // under -race this pins the ring and ledger against live pass
 // deposits, and the settle check proves nothing leaks.
 func TestDebugEndpointsChurnRace(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	srv, ts := recTestServer(t, 32)
 	url := ts.URL
-	srv.setParallel(2)
+	withProcs(t, 2)
 	if err := srv.register("q3", testQ3); err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -355,58 +356,99 @@ func TestEvalRejectsOversizedBody(t *testing.T) {
 	}
 }
 
-// TestParallelEval: a server running pipelined passes returns the same
-// results as a sequential one and reports pipeline metrics in /eval and
-// GET /stats.
+// withProcs sets GOMAXPROCS to n for the rest of the test; the server's
+// passes take their width from it.
+func withProcs(t testing.TB, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// TestParallelEval: staged passes (GOMAXPROCS=4) return the same results
+// as inline ones (GOMAXPROCS=1) and report pipeline metrics in /eval and
+// GET /stats, which inline passes do not.
 func TestParallelEval(t *testing.T) {
 	srv, ts := newTestServer(t)
-	srv.setParallel(4)
 	if err := srv.register("q3", testQ3); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.register("titles", testQT); err != nil {
 		t.Fatal(err)
 	}
-	ref, rts := newTestServer(t)
-	if err := ref.register("q3", testQ3); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.register("titles", testQT); err != nil {
-		t.Fatal(err)
-	}
 
 	doc := testDoc(300)
-	code, body := do(t, "POST", ts.URL+"/eval", doc)
-	if code != 200 {
-		t.Fatalf("parallel eval: %d %s", code, body)
+	eval := func(procs int) evalResponse {
+		withProcs(t, procs)
+		code, body := do(t, "POST", ts.URL+"/eval", doc)
+		if code != 200 {
+			t.Fatalf("procs=%d eval: %d %s", procs, code, body)
+		}
+		var resp evalResponse
+		if err := json.Unmarshal([]byte(body), &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp
 	}
-	_, refBody := do(t, "POST", rts.URL+"/eval", doc)
-	var resp, refResp evalResponse
-	if err := json.Unmarshal([]byte(body), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal([]byte(refBody), &refResp); err != nil {
-		t.Fatal(err)
-	}
+	refResp := eval(1)
+	resp := eval(4)
 	for i := range resp.Results {
 		if resp.Results[i].Output != refResp.Results[i].Output {
-			t.Errorf("%s: parallel output differs from sequential", resp.Results[i].Query)
+			t.Errorf("%s: staged output differs from inline", resp.Results[i].Query)
 		}
 	}
-	if resp.Pipeline == nil || resp.Pipeline.Parallel < 2 || resp.Pipeline.Batches == 0 {
+	if resp.Pipeline == nil || resp.Pipeline.Parallel != 2 || resp.Pipeline.Batches == 0 {
 		t.Fatalf("pipeline metrics missing from /eval: %+v", resp.Pipeline)
 	}
 	if refResp.Pipeline != nil {
-		t.Errorf("sequential pass reported pipeline metrics: %+v", refResp.Pipeline)
+		t.Errorf("inline pass reported pipeline metrics: %+v", refResp.Pipeline)
 	}
 
-	_, body = do(t, "GET", ts.URL+"/stats", "")
+	_, body := do(t, "GET", ts.URL+"/stats", "")
 	var stats statsResponse
 	if err := json.Unmarshal([]byte(body), &stats); err != nil {
 		t.Fatal(err)
 	}
 	if stats.Pipeline == nil || stats.Pipeline.Passes != 1 || stats.Pipeline.Batches == 0 {
 		t.Errorf("pipeline aggregate missing from /stats: %+v", stats.Pipeline)
+	}
+}
+
+// TestOneQueryStagedEval: a staged pass over a single query has one feed
+// worker, and /eval still reports it as staged — the pipeline object
+// and the traced stage spans are present.
+func TestOneQueryStagedEval(t *testing.T) {
+	withProcs(t, 2)
+	srv, ts := newTestServer(t)
+	if err := srv.register("q3", testQ3); err != nil {
+		t.Fatal(err)
+	}
+	code, body := do(t, "POST", ts.URL+"/eval?trace=1", testDoc(300))
+	if code != 200 {
+		t.Fatalf("eval: %d %s", code, body)
+	}
+	var resp evalResponse
+	if err := json.Unmarshal([]byte(body), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Pipeline == nil || resp.Pipeline.Parallel != 1 || resp.Pipeline.Batches == 0 {
+		t.Fatalf("one-query staged pass lacks pipeline metrics: %+v", resp.Pipeline)
+	}
+	if !strings.Contains(body, `"token_ring_peak"`) || !strings.Contains(body, `"tokenize_stall_us"`) {
+		t.Errorf("pipeline object lacks ring peaks or stalls: %s", body)
+	}
+	if resp.Trace == nil {
+		t.Fatal("traced eval carries no trace")
+	}
+	stages := map[string]bool{}
+	for _, ch := range resp.Trace.Root.Children {
+		if ch.Name == "scan" {
+			for _, st := range ch.Children {
+				stages[st.Name] = true
+			}
+		}
+	}
+	if !stages["tokenize"] || !stages["validate"] {
+		t.Errorf("trace lacks tokenize/validate stage spans: %+v", stages)
 	}
 }
 

@@ -129,8 +129,8 @@ func scrape(t *testing.T, url string) map[string]float64 {
 // scan, pipeline, pool and HTTP families, and the pass counters are
 // monotone across /eval calls.
 func TestMetricsExposition(t *testing.T) {
+	withProcs(t, 4)
 	srv, ts := newTestServer(t)
-	srv.setParallel(4)
 	if err := srv.register("q3", testQ3); err != nil {
 		t.Fatal(err)
 	}
@@ -289,12 +289,12 @@ func TestEvalTrace(t *testing.T) {
 	}
 }
 
-// TestConcurrentScrapeRace drives pipelined /eval traffic while
+// TestConcurrentScrapeRace drives staged /eval traffic while
 // scraping /metrics from other goroutines; under -race this pins the
 // scrape path against live instrument writes.
 func TestConcurrentScrapeRace(t *testing.T) {
+	withProcs(t, 2)
 	srv, ts := newTestServer(t)
-	srv.setParallel(2)
 	if err := srv.register("q3", testQ3); err != nil {
 		t.Fatal(err)
 	}

@@ -44,9 +44,6 @@ type server struct {
 	bufs    *fluxquery.BufferManager
 	policy  fluxquery.BufferPolicy
 	budget  int64
-	// parallel, when >= 2, runs each /eval's shared pass pipelined with
-	// that many feed workers (StreamSet.SetParallel).
-	parallel int
 	// dispatch selects each pass's fan-out strategy: fanout (every batch
 	// to every query) or trie (events routed through the shared dispatch
 	// trie, per-query delivery).
@@ -115,7 +112,7 @@ type server struct {
 	// 503 pool rejections.
 	evals    int64
 	rejected int64
-	// pipeline accumulates pipelined-pass metrics across /eval calls;
+	// pipeline accumulates staged-pass metrics across /eval calls;
 	// dispatchStats accumulates trie-routed-pass metrics likewise.
 	pipeline      pipelineAgg
 	dispatchStats dispatchAgg
@@ -132,7 +129,7 @@ type dispatchAgg struct {
 	MaxFanout  int   `json:"max_fanout"`
 }
 
-// pipelineAgg is the cumulative record of pipelined shared passes for
+// pipelineAgg is the cumulative record of staged shared passes for
 // GET /stats.
 type pipelineAgg struct {
 	Passes              int64 `json:"passes"`
@@ -300,10 +297,6 @@ func (s *server) drain(timeout time.Duration) bool {
 	<-done
 	return clean
 }
-
-// setParallel selects pipelined shared passes for /eval (>= 2; 0/1 is
-// sequential).
-func (s *server) setParallel(n int) { s.parallel = n }
 
 // setDispatch selects the fan-out strategy of /eval's shared passes.
 func (s *server) setDispatch(d fluxquery.Dispatch) { s.dispatch = d }
@@ -601,8 +594,8 @@ type scanStats struct {
 type evalResponse struct {
 	DurationMicros int64     `json:"duration_us"`
 	Scan           scanStats `json:"scan"`
-	// Pipeline reports the pass's pipeline metrics when the server runs
-	// with -parallel >= 2 (absent for sequential passes).
+	// Pipeline reports the pass's pipeline metrics when the pass was
+	// staged (GOMAXPROCS >= 2; absent for inline passes).
 	Pipeline *passInfo `json:"pipeline,omitempty"`
 	// Dispatch reports the pass's trie-routing metrics when the server
 	// runs with -dispatch trie (absent under plain fanout).
@@ -611,12 +604,12 @@ type evalResponse struct {
 	// Trace is the pass's span tree, present only with ?trace=1: the
 	// shared pass broken into scan and dispatch phases with one eval
 	// span per query, plus tokenize/validate stage spans (with stall
-	// attribution and ring high-water marks) under -parallel. The
+	// attribution and ring high-water marks) for staged passes. The
 	// trace's id is the request's X-Request-Id.
 	Trace *fluxquery.Trace `json:"trace,omitempty"`
 }
 
-// passInfo is one pipelined pass: worker count, batches through the
+// passInfo is one staged pass: worker count, batches through the
 // rings, work-steal events, per-stage stall time and ring high-water
 // marks.
 type passInfo struct {
@@ -712,7 +705,6 @@ func (s *server) handleEval(w http.ResponseWriter, r *http.Request) {
 	set := fluxquery.NewStreamSet(s.d)
 	set.SetProjection(s.proj)
 	set.SetBuffers(s.bufs)
-	set.SetParallel(s.parallel)
 	set.SetDispatch(s.dispatch)
 	set.SetTelemetry(s.tel)
 	// The recorder and ledger are process-wide; the per-request set is
@@ -786,7 +778,7 @@ func (s *server) handleEval(w http.ResponseWriter, r *http.Request) {
 	if traced {
 		resp.Trace = set.LastTrace()
 	}
-	if ps := set.LastPass(); ps.Parallel >= 2 {
+	if ps := set.LastPass(); ps.Staged {
 		resp.Pipeline = &passInfo{
 			Parallel:            ps.Parallel,
 			Batches:             ps.Batches,
@@ -853,7 +845,7 @@ func (s *server) handleEval(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	s.evals++
-	if ps := set.LastPass(); ps.Parallel >= 2 {
+	if ps := set.LastPass(); ps.Staged {
 		s.pipeline.Passes++
 		s.pipeline.Batches += ps.Batches
 		s.pipeline.Steals += ps.Steals
@@ -923,8 +915,8 @@ type statsResponse struct {
 	Queries       map[string]*queryAgg `json:"queries"`
 	Buffers       *bufferStats         `json:"buffers,omitempty"`
 	// Pool reports the bounded ingest pool (absent when unbounded);
-	// Pipeline the cumulative pipelined-pass metrics (absent while no
-	// pipelined pass has run).
+	// Pipeline the cumulative staged-pass metrics (absent while no
+	// staged pass has run).
 	Pool     *poolStats   `json:"pool,omitempty"`
 	Pipeline *pipelineAgg `json:"pipeline,omitempty"`
 	// Dispatch reports cumulative trie-routing metrics (absent while no

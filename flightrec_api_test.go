@@ -13,8 +13,8 @@ import (
 
 // TestFlightRecorderDifferential: recorder-on (slow capture armed, so
 // every pass builds a span tree) and recorder-off runs must produce
-// byte-identical outputs, across sequential and pipelined passes and
-// both dispatch modes. Run under -race in CI.
+// byte-identical outputs, across inline (GOMAXPROCS=1) and staged
+// (GOMAXPROCS=4) passes and both dispatch modes. Run under -race in CI.
 func TestFlightRecorderDifferential(t *testing.T) {
 	d, err := ParseDTD(xmlgen.WeakBibDTD)
 	if err != nil {
@@ -23,9 +23,9 @@ func TestFlightRecorderDifferential(t *testing.T) {
 	queries := []string{paperQuery, paperQuery}
 	doc := telemetryDoc(400)
 
-	run := func(instrument bool, parallel int, disp Dispatch) []string {
+	run := func(instrument bool, procs int, disp Dispatch) []string {
+		withProcs(t, procs)
 		set := NewStreamSet(d)
-		set.SetParallel(parallel)
 		set.SetDispatch(disp)
 		if instrument {
 			rec := NewFlightRecorder(FlightRecorderConfig{
@@ -63,18 +63,18 @@ func TestFlightRecorderDifferential(t *testing.T) {
 	}
 
 	for _, cfg := range []struct {
-		parallel int
-		disp     Dispatch
-	}{{0, DispatchFanout}, {0, DispatchTrie}, {4, DispatchFanout}, {4, DispatchTrie}} {
-		off := run(false, cfg.parallel, cfg.disp)
-		on := run(true, cfg.parallel, cfg.disp)
+		procs int
+		disp  Dispatch
+	}{{1, DispatchFanout}, {1, DispatchTrie}, {4, DispatchFanout}, {4, DispatchTrie}} {
+		off := run(false, cfg.procs, cfg.disp)
+		on := run(true, cfg.procs, cfg.disp)
 		for i := range off {
 			if off[i] != on[i] {
-				t.Errorf("parallel=%d dispatch=%v query %d: recorder-on output differs from recorder-off",
-					cfg.parallel, cfg.disp, i)
+				t.Errorf("procs=%d dispatch=%v query %d: recorder-on output differs from recorder-off",
+					cfg.procs, cfg.disp, i)
 			}
 			if off[i] == "" {
-				t.Errorf("parallel=%d dispatch=%v query %d: empty output", cfg.parallel, cfg.disp, i)
+				t.Errorf("procs=%d dispatch=%v query %d: empty output", cfg.procs, cfg.disp, i)
 			}
 		}
 	}

@@ -140,9 +140,11 @@ type Manager struct {
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	// total is the live heap bytes currently reserved across accounts.
-	total int64
-	peak  int64
+	// total is the live heap bytes currently reserved across accounts;
+	// accounts counts the open ones.
+	total    int64
+	peak     int64
+	accounts int
 	// gates tracks every open Gate for the backpressure holder scan.
 	gates  map[*Gate]struct{}
 	store  *segStore
@@ -505,6 +507,9 @@ func (g *Gate) NewAccount() *Account {
 		return nil
 	}
 	a := &Account{m: g.m, g: g, unit: g.m.cfg.SpillUnit}
+	g.m.mu.Lock()
+	g.m.accounts++
+	g.m.mu.Unlock()
 	if a.unit <= 0 {
 		a.unit = g.m.cfg.Budget / 16
 		if a.unit < 256 {
@@ -880,7 +885,15 @@ func (a *Account) Unpin(n *dom.Node) {
 func (a *Account) makeRoom(need int64) error {
 	m := a.m
 	m.mu.Lock()
-	over := m.total + need - m.cfg.Budget
+	limit := m.cfg.Budget
+	if len(a.victims) > 0 && m.accounts > 1 {
+		// An account that can spill leaves budget/16 to its siblings:
+		// one with nothing buffered yet has no victims of its own, so
+		// its first fills would otherwise overshoot the budget whenever
+		// a spilling sibling had filled it to the brim.
+		limit -= m.cfg.Budget / 16
+	}
+	over := m.total + need - limit
 	m.mu.Unlock()
 	if over <= 0 {
 		return nil
@@ -1047,6 +1060,9 @@ func (a *Account) Close() AccountStats {
 	if a.held != 0 {
 		a.commit(-a.held)
 	}
+	a.m.mu.Lock()
+	a.m.accounts--
+	a.m.mu.Unlock()
 	return st
 }
 

@@ -636,3 +636,28 @@ func TestConstraintSummary(t *testing.T) {
 		}
 	}
 }
+
+// TestFingerprint: equal declarations parsed separately share a
+// fingerprint (and hence name ids); a different declaration, attribute
+// list or document root changes it.
+func TestFingerprint(t *testing.T) {
+	a, b := MustParse(weakBib), MustParse(weakBib)
+	if a == b || a.Fingerprint() != b.Fingerprint() {
+		t.Fatal("separately parsed equal DTDs have different fingerprints")
+	}
+	for name, src := range map[string]string{
+		"model": strings.Replace(weakBib, "(title|author)*", "(title,author)*", 1),
+		"attr":  weakBib + `<!ATTLIST book year CDATA #IMPLIED>`,
+	} {
+		if MustParse(src).Fingerprint() == a.Fingerprint() {
+			t.Errorf("%s change kept the fingerprint", name)
+		}
+	}
+	doc, err := ParseDoctype("DOCTYPE book [" + weakBib + "]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc.Fingerprint() == a.Fingerprint() {
+		t.Error("a different document root kept the fingerprint")
+	}
+}

@@ -18,9 +18,11 @@
 package dtd
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Model is a content-model expression tree. The concrete types are Name,
@@ -199,6 +201,20 @@ type DTD struct {
 	Order []string
 	// byID maps dense name ids back to declarations (index = Element.ID).
 	byID []*Element
+	// fp is the content fingerprint, computed once on first use.
+	fpOnce sync.Once
+	fp     [sha256.Size]byte
+}
+
+// Fingerprint returns a digest of the DTD's content: the document root
+// and every declaration as String renders them. Two DTDs with equal
+// fingerprints assign identical name ids and accept the same documents,
+// so a plan compiled against one runs on events validated by the other.
+// The digest is computed once, on the first call, so parsing does not
+// pay for it and comparing costs nothing.
+func (d *DTD) Fingerprint() [sha256.Size]byte {
+	d.fpOnce.Do(func() { d.fp = sha256.Sum256([]byte(d.Root + "\n" + d.String())) })
+	return d.fp
 }
 
 // NumIDs returns the size of the DTD's name-id space (declared elements

@@ -36,7 +36,7 @@ const (
 	// SiteBodyRead covers fluxserve request-body reads.
 	SiteBodyRead = "body.read"
 	// SiteRingToken covers the tokenizer→validator ring hand-off of the
-	// pipelined pass.
+	// staged pass (GOMAXPROCS >= 2).
 	SiteRingToken = "ring.token"
 	// SiteRingEvent covers the validator→dispatcher ring hand-off.
 	SiteRingEvent = "ring.event"

@@ -53,9 +53,11 @@ type Record struct {
 	Duration time.Duration `json:"duration_ns"`
 
 	// Engine configuration of the pass: projection and dispatch modes,
-	// pipeline width (0/1 = sequential) and the riding plan count.
+	// the pass form (staged tokenize/validate goroutines or inline batch
+	// fills), the feed worker count and the riding plan count.
 	Projection string `json:"projection,omitempty"`
 	Dispatch   string `json:"dispatch,omitempty"`
+	Staged     bool   `json:"staged,omitempty"`
 	Parallel   int    `json:"parallel,omitempty"`
 	Plans      int    `json:"plans"`
 
@@ -67,13 +69,13 @@ type Record struct {
 	MBps       float64 `json:"mbps"`
 
 	// Per-stage stall breakdown: the pipeline stages blocked on their
-	// rings (zero for sequential passes) and the buffer-manager gate.
+	// rings (zero for inline passes) and the buffer-manager gate.
 	TokenizeStall time.Duration `json:"tokenize_stall_ns,omitempty"`
 	ValidateStall time.Duration `json:"validate_stall_ns,omitempty"`
 	DispatchStall time.Duration `json:"dispatch_stall_ns,omitempty"`
 	GateStall     time.Duration `json:"gate_stall_ns,omitempty"`
 	// TokenRingPeak and EventRingPeak are ring high-water marks;
-	// Steals counts cross-stripe feed claims (pipelined passes only).
+	// Steals counts cross-stripe feed claims (two or more workers only).
 	TokenRingPeak int   `json:"token_ring_peak,omitempty"`
 	EventRingPeak int   `json:"event_ring_peak,omitempty"`
 	Steals        int64 `json:"steals,omitempty"`

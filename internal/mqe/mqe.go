@@ -29,8 +29,10 @@
 //  3. Interned data is exempt. Element names and *dtd.Element
 //     declarations are interned in the DTD and safe to retain forever;
 //     attribute names resolve through the scanner's symbol table, which
-//     consumers may read while they hold the batch (the scanner is idle
-//     until every consumer has acknowledged it).
+//     consumers may read while they hold the batch (the table is
+//     append-only within a stream and publishes every new name for
+//     readers on other goroutines, so a tokenizer stage running ahead
+//     never invalidates a resolution).
 //
 // Zero-copy views therefore never cross a plan boundary un-copied: the
 // dispatcher's single batch copy replaces the N per-plan scans, and each
@@ -42,7 +44,6 @@ package mqe
 import (
 	"context"
 	"io"
-	"time"
 
 	"fluxquery/internal/bufmgr"
 	"fluxquery/internal/dtd"
@@ -73,10 +74,9 @@ type Consumer interface {
 type Dispatcher struct {
 	// DTD validates the stream; every event carries names interned here.
 	DTD *dtd.DTD
-	// BatchEvents and BatchBytes bound a batch (defaults 256 events,
-	// 32 KiB of payload).
+	// BatchEvents bounds a batch's event count (default
+	// xsax.DefaultBatchEvents; tests lower it to force many batches).
 	BatchEvents int
-	BatchBytes  int
 	// Proj, when non-nil, projects the shared pass: only events relevant
 	// to the automaton (the union of every riding plan's path-set) are
 	// delivered; pruned subtrees are fed as start/end shells. ProjMode
@@ -92,10 +92,11 @@ type Dispatcher struct {
 	// of a batch would deadlock against the siblings that could free
 	// memory only when fed.
 	Gate *bufmgr.Gate
-	// Parallel, when >= 2, runs passes in pipelined form: tokenize,
-	// validate and dispatch on separate goroutines connected by bounded
-	// batch rings, with up to Parallel feed workers sharding the
-	// consumer set (see parallel.go). 0 or 1 is the sequential pass.
+	// Parallel overrides the pass width, which is otherwise derived
+	// from GOMAXPROCS (0 = derived; see xsax.Width). Width >= 2 stages
+	// tokenize and validate on their own goroutines and shards the
+	// consumers over up to that many feed workers (see parallel.go);
+	// width 1 fills each batch inline on the dispatching goroutine.
 	Parallel int
 	// Trie, when non-nil, replaces whole-batch fanout with trie-routed
 	// dispatch (see trie.go): each event resolves one trie node and is
@@ -117,8 +118,8 @@ type Dispatcher struct {
 	Obs *PassObs
 	// Ctx, when non-nil, cancels the pass: the driver checks it at every
 	// batch boundary, the gate wait unparks on cancellation (bind the
-	// gate to the same context), and a pipelined pass stops waiting on
-	// its rings. Cancellation is the pass's terminal error — every
+	// gate to the same context), and a staged pass stops waiting on its
+	// rings. Cancellation is the pass's terminal error — every
 	// riding consumer receives it through Close, so partial output is
 	// always flagged as errored, never silently truncated.
 	Ctx context.Context
@@ -132,12 +133,6 @@ func (d *Dispatcher) ctxErr() error {
 	return d.Ctx.Err()
 }
 
-// Default batch bounds; see runtime's feed batch sizing for rationale.
-const (
-	defaultBatchEvents = 256
-	defaultBatchBytes  = 32 << 10
-)
-
 // Run tokenizes and validates r exactly once, fanning every event out to
 // consumers. A consumer that terminates early is detached and the pass
 // continues for the others; the stream is always scanned to its end (or
@@ -148,97 +143,4 @@ const (
 func (d *Dispatcher) Run(r io.Reader, consumers []Consumer) error {
 	_, _, err := d.RunScanPass(r, consumers)
 	return err
-}
-
-// RunScan is the sequential shared pass (Parallel is ignored), reporting
-// the pass's projection scan statistics (all zeros when Proj is nil).
-func (d *Dispatcher) RunScan(r io.Reader, consumers []Consumer) (xsax.ScanStats, error) {
-	maxEvents := d.BatchEvents
-	if maxEvents <= 0 {
-		maxEvents = defaultBatchEvents
-	}
-	maxBytes := d.BatchBytes
-	if maxBytes <= 0 {
-		maxBytes = defaultBatchBytes
-	}
-
-	live := make([]Consumer, len(consumers))
-	copy(live, consumers)
-
-	xr := xsax.GetReader(r, d.DTD)
-	if d.Proj != nil && d.ProjMode != proj.ModeOff {
-		xr.SetProjection(d.Proj, d.ProjMode)
-	}
-	b := xsax.GetBatch()
-	obs := d.Obs
-	var scanTime, dispTime time.Duration
-	var batches, events int64
-	var cause error
-	for cause == nil {
-		if err := d.ctxErr(); err != nil {
-			cause = err
-			break
-		}
-		if err := d.Gate.Wait(); err != nil {
-			cause = err
-			break
-		}
-		b.Reset()
-		var t0 time.Time
-		if obs != nil {
-			t0 = time.Now()
-		}
-		for b.Len() < maxEvents && b.ArenaBytes() < maxBytes {
-			ev, err := xr.NextEvent()
-			if err != nil {
-				cause = err
-				break
-			}
-			b.Append(ev)
-		}
-		var t1 time.Time
-		if obs != nil {
-			t1 = time.Now()
-			scanTime += t1.Sub(t0)
-		}
-		if b.Len() == 0 {
-			continue
-		}
-		// Start every consumer on the batch, then collect: the plans
-		// evaluate concurrently, the batch arena is reused only after the
-		// slowest EndFeed.
-		for _, c := range live {
-			c.BeginFeed(b.Events)
-		}
-		keep := live[:0]
-		for _, c := range live {
-			if done, _ := c.EndFeed(); done {
-				c.Close(cause)
-				continue
-			}
-			keep = append(keep, c)
-		}
-		live = keep
-		if obs != nil {
-			dispTime += time.Since(t1)
-			batches++
-			events += int64(b.Len())
-		}
-	}
-	for _, c := range live {
-		c.Close(cause)
-	}
-	if obs != nil {
-		obs.Scan.AddTime(scanTime)
-		obs.Dispatch.AddTime(dispTime)
-		obs.Batches = batches
-		obs.Events = events
-	}
-	sc := xr.ScanStats()
-	xsax.PutBatch(b)
-	xsax.PutReader(xr)
-	if cause == io.EOF {
-		return sc, nil
-	}
-	return sc, cause
 }

@@ -137,6 +137,14 @@ func TestRegisterRejectsForeignDTD(t *testing.T) {
 	if _, err := s.Register(plan(t, q3, dtd.MustParse(weakBib)), io.Discard); err != nil {
 		t.Fatalf("equivalent DTD rejected: %v", err)
 	}
+	// The same element names with a different content model are not.
+	changed := dtd.MustParse(strings.Replace(weakBib, "(title|author)*", "(title,author)*", 1))
+	if _, err := s.Register(plan(t, q3, changed), io.Discard); err == nil {
+		t.Fatal("plan under a changed content model registered without error")
+	}
+	if s.Len() != 1 {
+		t.Fatalf("%d registrations, want only the equivalent one", s.Len())
+	}
 }
 
 // failAfter fails with io.ErrClosedPipe once n bytes have been written.
@@ -368,5 +376,21 @@ func TestConcurrentRunsAreSerialized(t *testing.T) {
 	// 20 serialized passes appended 20 intact copies of the result.
 	if got := out.String(); got != strings.Repeat(want.String(), 20) {
 		t.Errorf("interleaved or corrupted output across concurrent runs (%d bytes)", len(got))
+	}
+}
+
+// BenchmarkRegisterEqualDTD: registering a plan compiled against an
+// equal but separately parsed DTD costs a fingerprint compare, not a
+// re-rendering of the schema.
+func BenchmarkRegisterEqualDTD(b *testing.B) {
+	p := plan(&testing.T{}, q3, dtd.MustParse(weakBib))
+	s := NewSet(dtd.MustParse(weakBib))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sub, err := s.Register(p, io.Discard)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sub.Unregister()
 	}
 }

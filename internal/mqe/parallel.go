@@ -8,15 +8,18 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fluxquery/internal/proj"
 	"fluxquery/internal/xsax"
 )
 
-// This file implements the pipelined form of the shared pass. The
-// tokenize and validate stages move onto their own goroutines (see
-// xsax.Pipeline); this dispatcher becomes the third stage, pulling
-// validated batches off the event ring and fanning each one out to the
-// registered plans through a pool of feed workers.
+// This file implements the shared pass. Its batch source is an
+// xsax.Pipeline whose form follows the pass width (GOMAXPROCS unless
+// Dispatcher.Parallel overrides it): at width >= 2 the tokenize and
+// validate stages run on their own goroutines and this dispatcher is the
+// third stage, pulling validated batches off the event ring; at width 1
+// the dispatcher fills each batch inline and no stage goroutine exists.
+// Either way the dispatcher fans each batch out to the registered plans
+// through a pool of min(width, plans) feed workers; a pool of one runs
+// its worker on the dispatching goroutine.
 //
 // The workers shard the plan set: plans are ordered by descending cost
 // estimate and dealt round-robin, so each worker owns a balanced stripe.
@@ -28,10 +31,15 @@ import (
 // delivery in order for every plan — a plan never sees batch k+1 before
 // it acknowledged batch k — and lets the batch arena recycle safely.
 
-// PassStats reports a pipelined shared pass's execution metrics; all
-// zeros for sequential passes.
+// PassStats reports a shared pass's execution metrics.
 type PassStats struct {
-	// Parallel is the evaluator worker count the pass ran with.
+	// Staged reports the pass's form: true when tokenize and validate
+	// ran as stages on their own goroutines, false when batches were
+	// filled inline. The stage stalls and ring peaks below are recorded
+	// only for staged passes.
+	Staged bool
+	// Parallel is the feed worker count the pass ran with:
+	// min(width, plans), at least 1.
 	Parallel int
 	// Batches counts validated batches fanned out.
 	Batches int64
@@ -52,18 +60,43 @@ type PassStats struct {
 // worker stripes. Consumers without it weigh 1.
 type Costed interface{ FeedCost() int }
 
-// RunScanPass is RunScan, additionally reporting pipeline metrics. With
-// Parallel >= 2 the pass runs in pipelined form; otherwise it is the
-// sequential single-goroutine pass and the PassStats are zero.
+// RunScanPass is Run, additionally reporting the pass's projection scan
+// statistics (all zeros when Proj is nil) and its execution metrics.
 func (d *Dispatcher) RunScanPass(r io.Reader, consumers []Consumer) (xsax.ScanStats, PassStats, error) {
 	if d.Trie != nil {
 		return d.runTrie(r, consumers)
 	}
-	if d.Parallel >= 2 {
-		return d.runPipelined(r, consumers)
+	return d.runPipelined(r, consumers)
+}
+
+// openPass starts a pass's batch source and its pool of min(width, n)
+// feed workers (at least one) for n consumers.
+func (d *Dispatcher) openPass(r io.Reader, n int) (*xsax.Pipeline, *evalPool) {
+	width := d.Parallel
+	if width <= 0 {
+		width = xsax.Width()
 	}
-	sc, err := d.RunScan(r, consumers)
-	return sc, PassStats{}, err
+	pl := xsax.NewPipeline(r, d.DTD, xsax.PipelineConfig{
+		Width:       width,
+		BatchEvents: d.BatchEvents,
+		Proj:        d.Proj,
+		ProjMode:    d.ProjMode,
+		Throttle:    d.Gate.Wait,
+		Ctx:         d.Ctx,
+	})
+	return pl, newEvalPool(max(1, min(width, n)))
+}
+
+// closePass joins a pass's worker pool and batch source and assembles
+// its statistics. Consumers must be closed first (releasing their budget
+// accounts): a tokenizer stage may be parked in a gate wait that only
+// drains when accounts release.
+func closePass(pl *xsax.Pipeline, pool *evalPool, batches int64) (xsax.ScanStats, PassStats) {
+	ps := PassStats{Staged: pl.Staged(), Parallel: pool.n, Batches: batches, Steals: pool.close()}
+	sc, pps, _ := pl.Close()
+	ps.TokenizeStall, ps.ValidateStall, ps.DispatchStall = pps.TokStall, pps.ValStall, pps.DispStall
+	ps.TokenRingPeak, ps.EventRingPeak = pps.TokRingPeak, pps.ValRingPeak
+	return sc, ps
 }
 
 func (d *Dispatcher) runPipelined(r io.Reader, consumers []Consumer) (xsax.ScanStats, PassStats, error) {
@@ -71,41 +104,7 @@ func (d *Dispatcher) runPipelined(r io.Reader, consumers []Consumer) (xsax.ScanS
 	copy(live, consumers)
 	// Cost-ordered so the round-robin deal below balances the stripes.
 	sort.SliceStable(live, func(i, j int) bool { return feedCost(live[i]) > feedCost(live[j]) })
-
-	var pa *proj.Automaton
-	if d.Proj != nil && d.ProjMode != proj.ModeOff {
-		pa = d.Proj
-	}
-	// Pipelined batches default to 4x the sequential size: every batch
-	// pays two ring handoffs plus a feed-worker barrier (one wakeup per
-	// worker), so larger batches amortize the coordination without
-	// changing delivery semantics. Explicit Dispatcher sizes still win.
-	be, bb := d.BatchEvents, d.BatchBytes
-	if be <= 0 {
-		be = 4 * defaultBatchEvents
-	}
-	if bb <= 0 {
-		bb = 4 * defaultBatchBytes
-	}
-	pl := xsax.NewPipeline(r, d.DTD, xsax.PipelineConfig{
-		BatchEvents: be,
-		BatchBytes:  bb,
-		Proj:        pa,
-		ProjMode:    d.ProjMode,
-		Throttle:    d.Gate.Wait,
-		Ctx:         d.Ctx,
-	})
-
-	workers := d.Parallel
-	if workers > len(live) {
-		workers = len(live)
-	}
-	var pool *evalPool
-	if workers >= 2 {
-		pool = newEvalPool(workers)
-	} else {
-		workers = 1
-	}
+	pl, pool := d.openPass(r, len(live))
 
 	obs := d.Obs
 	var scanTime, dispTime time.Duration
@@ -130,71 +129,40 @@ func (d *Dispatcher) runPipelined(r io.Reader, consumers []Consumer) (xsax.ScanS
 			cause = err
 			break
 		}
-		if vb.Len() > 0 && len(live) > 0 {
+		if len(live) > 0 {
 			batches++
 			events += int64(vb.Len())
-			if pool != nil && len(live) > 1 {
-				pool.feed(live, vb.Events)
-				keep := live[:0]
-				for i, c := range live {
-					if pool.res[i].done {
-						// A worker-side failure (panic isolation) reaches the
-						// consumer here; an evaluator-side termination already
-						// recorded its own error and ignores the cause.
-						c.Close(pool.res[i].err)
-						continue
-					}
-					keep = append(keep, c)
+			pool.feed(live, vb.Events)
+			keep := live[:0]
+			for i, c := range live {
+				if pool.res[i].done {
+					// A worker-side failure (panic isolation) reaches the
+					// consumer here; an evaluator-side termination already
+					// recorded its own error and ignores the cause.
+					c.Close(pool.res[i].err)
+					continue
 				}
-				live = keep
-			} else {
-				for _, c := range live {
-					c.BeginFeed(vb.Events)
-				}
-				keep := live[:0]
-				for _, c := range live {
-					if done, _ := c.EndFeed(); done {
-						c.Close(nil)
-						continue
-					}
-					keep = append(keep, c)
-				}
-				live = keep
+				keep = append(keep, c)
 			}
+			live = keep
 			if obs != nil {
 				dispTime += time.Since(t1)
 			}
 		}
 		pl.Recycle(vb)
 	}
-	// Close consumers (releasing their budget accounts) before joining
-	// the pipeline: the tokenizer stage may be parked in a gate wait
-	// that only drains when accounts release.
 	for _, c := range live {
 		c.Close(cause)
 	}
-	var steals int64
-	if pool != nil {
-		steals = pool.close()
-	}
-	sc, pps, _ := pl.Close()
-	ps := PassStats{
-		Parallel:      workers,
-		Batches:       batches,
-		Steals:        steals,
-		TokenizeStall: pps.TokStall,
-		ValidateStall: pps.ValStall,
-		DispatchStall: pps.DispStall,
-		TokenRingPeak: pps.TokRingPeak,
-		EventRingPeak: pps.ValRingPeak,
-	}
+	sc, ps := closePass(pl, pool, batches)
 	if obs != nil {
-		// In a pipelined pass the dispatcher's "scan" time is its wait on
+		// In a staged pass the dispatcher's "scan" time is its wait on
 		// the validated-batch ring — the stage goroutines overlap it, so
-		// child spans here describe concurrent work, not a partition of
-		// the wall clock (the sequential pass's spans do partition it).
+		// child spans describe concurrent work, not a partition of the
+		// wall clock. Inline, "scan" is the batch fill itself and the
+		// spans do partition it.
 		obs.Scan.AddTime(scanTime)
-		obs.Scan.AddStall(pps.DispStall)
+		obs.Scan.AddStall(ps.DispatchStall)
 		obs.Dispatch.AddTime(dispTime)
 		obs.Batches = batches
 		obs.Events = events
@@ -221,7 +189,8 @@ type feedResult struct {
 // evalPool is a fixed set of feed workers fanning batches to consumers.
 // Worker-owned state (mine) and claimed slots are exclusive per batch;
 // the ready/done channel pair is the per-batch barrier that publishes
-// tasks/evs/res between the dispatcher and the workers.
+// tasks/evs/res between the dispatcher and the workers. A pool of one
+// has no goroutines: its worker runs on the dispatching goroutine.
 type evalPool struct {
 	n     int
 	ready []chan struct{}
@@ -246,6 +215,9 @@ type evalPool struct {
 
 func newEvalPool(n int) *evalPool {
 	p := &evalPool{n: n, donec: make(chan struct{}, n), mine: make([][]int, n)}
+	if n < 2 {
+		return p
+	}
 	for w := 0; w < n; w++ {
 		ch := make(chan struct{}, 1)
 		p.ready = append(p.ready, ch)
@@ -269,10 +241,12 @@ func (p *evalPool) worker(id int, ready chan struct{}) {
 // per-plan error, delivered through Close by the driver — while
 // sibling workers, their tasks and the shared pass itself continue.
 // (Plan evaluator panics never reach here: the StepExec goroutine
-// converts them to per-plan errors itself.)
-func (p *evalPool) safeFeed(id int) {
+// converts them to per-plan errors itself.) It reports whether the
+// sweep ended in a panic.
+func (p *evalPool) safeFeed(id int) (panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
+			panicked = true
 			err := fmt.Errorf("mqe: feed worker panic: %v", r)
 			for _, i := range p.mine[id] {
 				if !p.coll[i] {
@@ -282,6 +256,7 @@ func (p *evalPool) safeFeed(id int) {
 		}
 	}()
 	p.feedWorker(id)
+	return false
 }
 
 // feed fans one batch out to every task and waits for all workers to
@@ -314,6 +289,14 @@ func (p *evalPool) run() {
 		p.claims[i] = 0
 		p.res[i] = feedResult{}
 		p.coll[i] = false
+	}
+	if len(p.ready) == 0 {
+		// The one worker runs here. A panic ends its sweep early and no
+		// sibling is left to steal the tasks it had not reached, so it
+		// sweeps again; each sweep claims at least one more task.
+		for p.safeFeed(0) {
+		}
+		return
 	}
 	for _, ch := range p.ready {
 		ch <- struct{}{}

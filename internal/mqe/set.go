@@ -36,11 +36,7 @@ var ErrNotRun = errors.New("mqe: subscription has not completed a run")
 // unregistration detaches the subscription from an in-flight Run at the
 // next batch boundary (aborting it with ErrUnregistered).
 type Set struct {
-	d *dtd.DTD
-	// dstr is the set DTD's canonical serialization, computed once so
-	// Register's equivalence check on pointer-unequal DTDs does not
-	// re-serialize the set side on every call.
-	dstr string
+	d    *dtd.DTD
 	disp Dispatcher
 
 	// runMu serializes Run: subscriptions write to fixed per-Sub writers,
@@ -87,13 +83,9 @@ type Set struct {
 	// account per riding plan, so a budget violation is attributed — and,
 	// under bufmgr.PolicyFail, confined — to the individual plan.
 	bufs *bufmgr.Manager
-	// parallel selects pipelined passes (>= 2: staged pipeline with that
-	// many feed workers; 0/1: the sequential pass).
-	parallel int
 	// lastScan reports the most recent pass's projection counters; passes
 	// counts completed Run calls. lastStall is the most recent pass's
-	// backpressure stall, lastPass its pipeline metrics (zero when
-	// sequential).
+	// backpressure stall, lastPass its execution metrics.
 	lastScan  xsax.ScanStats
 	passes    int64
 	lastStall time.Duration
@@ -123,7 +115,7 @@ type Set struct {
 
 // NewSet returns a Set for streams governed by d.
 func NewSet(d *dtd.DTD) *Set {
-	return &Set{d: d, dstr: d.String(), disp: Dispatcher{DTD: d}}
+	return &Set{d: d, disp: Dispatcher{DTD: d}}
 }
 
 // Sub is one registered (plan, output) subscription.
@@ -148,7 +140,8 @@ type Sub struct {
 // Register adds a plan to the set, streaming its result to out on every
 // subsequent Run. The plan must be compiled against the set's DTD: events
 // carry names interned in one schema, and a plan scheduled under a
-// different schema would mis-dispatch on them.
+// different schema would mis-dispatch on them. An equal DTD parsed
+// separately qualifies: DTDs are compared by their fingerprints.
 func (s *Set) Register(p *runtime.Plan, out io.Writer) (*Sub, error) {
 	return s.RegisterNamed(p, out, "")
 }
@@ -157,7 +150,7 @@ func (s *Set) Register(p *runtime.Plan, out io.Writer) (*Sub, error) {
 // telemetry series and trace spans ("" derives q1, q2, ... in
 // registration order).
 func (s *Set) RegisterNamed(p *runtime.Plan, out io.Writer, name string) (*Sub, error) {
-	if pd := p.DTD(); pd != s.d && pd.String() != s.dstr {
+	if pd := p.DTD(); pd != s.d && pd.Fingerprint() != s.d.Fingerprint() {
 		return nil, fmt.Errorf("mqe: plan compiled against a different DTD (root <%s>, stream root <%s>)",
 			p.DTD().Root, s.d.Root)
 	}
@@ -309,18 +302,8 @@ func (s *Set) Ledger() *Ledger {
 	return s.ledger
 }
 
-// SetParallel selects how shared passes execute: n >= 2 runs the staged
-// pipeline (tokenize ∥ validate ∥ dispatch) with up to n feed workers
-// sharding the plan set; 0 or 1 is the sequential single-goroutine pass.
-// Takes effect at the next Run.
-func (s *Set) SetParallel(n int) {
-	s.mu.Lock()
-	s.parallel = n
-	s.mu.Unlock()
-}
-
-// LastPass returns the pipeline metrics of the most recent successfully
-// completed Run (all zeros for sequential passes).
+// LastPass returns the execution metrics of the most recent successfully
+// completed Run.
 func (s *Set) LastPass() PassStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -349,8 +332,8 @@ func (s *Set) recomputeProjLocked() {
 	}
 	// Compiled over the stream DTD's name-id vocabulary so the shared
 	// pass dispatches verdicts with slice loads. Plans ride with their
-	// own (equivalent) DTD: equal String() renderings assign identical
-	// ids, which Register's equivalence check guarantees.
+	// own (equivalent) DTD: equal fingerprints assign identical ids,
+	// which Register's equivalence check guarantees.
 	s.pauto = proj.CompileVocab(proj.Union(sets...), s.d.IDNames())
 }
 
@@ -516,7 +499,6 @@ func (s *Set) RunContext(ctx context.Context, r io.Reader) error {
 	disp := s.disp
 	disp.Proj = s.pauto
 	disp.ProjMode = s.pmode
-	disp.Parallel = s.parallel
 	var ds DispatchStats
 	ds.Mode = s.dispatch.String()
 	ds.Plans = len(subs)
@@ -534,7 +516,6 @@ func (s *Set) RunContext(ctx context.Context, r io.Reader) error {
 	tracing := s.tracing
 	traceID := s.traceID
 	pmode := s.pmode
-	parallel := s.parallel
 	rec := s.rec
 	reqID := s.reqID
 	ledger := s.ledger
@@ -632,7 +613,8 @@ func (s *Set) RunContext(ctx context.Context, r io.Reader) error {
 			Duration:       wall,
 			Projection:     pmode.String(),
 			Dispatch:       ds.Mode,
-			Parallel:       parallel,
+			Staged:         ps.Staged,
+			Parallel:       ps.Parallel,
 			Plans:          len(subs),
 			InputBytes:     sc.BytesRead,
 			Events:         obs.Events,
@@ -694,7 +676,7 @@ func (s *Set) stampTrace(tr *telemetry.Trace, obs *PassObs, sc xsax.ScanStats, p
 	root.AddStall(stall)
 	obs.Scan.AddBytes(sc.BytesRead)
 	obs.Scan.AddEvents(obs.Events)
-	if ps.Parallel >= 2 {
+	if ps.Staged {
 		tok := obs.Scan.Child("tokenize")
 		tok.AddStall(ps.TokenizeStall)
 		tok.SetRingPeak(ps.TokenRingPeak)
@@ -715,8 +697,8 @@ func (s *Set) recordPass(mt *setMetrics, obs *PassObs, sc xsax.ScanStats, ps Pas
 	mt.passSeconds.Observe(wall.Nanoseconds())
 	mt.passBytes.Observe(sc.BytesRead)
 	mt.stallGate.Add(stall.Nanoseconds())
-	if ps.Parallel >= 2 {
-		mt.steals.Add(ps.Steals)
+	mt.steals.Add(ps.Steals)
+	if ps.Staged {
 		mt.stallTokenize.Add(ps.TokenizeStall.Nanoseconds())
 		mt.stallValidate.Add(ps.ValidateStall.Nanoseconds())
 		mt.stallDispatch.Add(ps.DispatchStall.Nanoseconds())
@@ -771,7 +753,7 @@ func (rr *subRun) BeginFeed(evs []xsax.Event) {
 }
 
 // FeedCost reports the subscription plan's cost estimate so the
-// pipelined pass can balance its evaluator worker stripes: the
+// pass can balance its evaluator worker stripes: the
 // schema-statistics expected delivered-event count stamped at
 // registration, falling back to the structural estimate.
 func (rr *subRun) FeedCost() int {

@@ -48,7 +48,7 @@ func newSetMetrics(reg *telemetry.Registry) *setMetrics {
 		return nil
 	}
 	const stallHelp = "Cumulative time a pass stage spent blocked, by stage."
-	const ringHelp = "Per-pass high-water ring occupancy, by ring (pipelined passes)."
+	const ringHelp = "Per-pass high-water ring occupancy, by ring (staged passes)."
 	return &setMetrics{
 		reg: reg,
 		passes: reg.Counter("flux_scan_passes_total",
@@ -157,13 +157,13 @@ func (mt *setMetrics) evalSeconds(plan string) *telemetry.Histogram {
 // partially populated PassObs (metrics without tracing) works unchanged.
 //
 // Span ownership: Scan and Dispatch are written by the goroutine driving
-// the pass loop. In a pipelined pass, stage attribution (tokenize and
+// the pass loop. In a staged pass, stage attribution (tokenize and
 // validate stall, ring peaks) is stamped onto child spans only after the
 // stage goroutines have joined.
 type PassObs struct {
-	// Scan accrues time spent pulling events from the stream (sequential:
-	// the batch fill loop; pipelined: waiting on the validated-batch
-	// ring, i.e. the dispatch stall). Dispatch accrues fan-out plus
+	// Scan accrues time spent pulling events from the stream (inline:
+	// the batch fill loop; staged: waiting on the validated-batch ring,
+	// i.e. the dispatch stall). Dispatch accrues fan-out plus
 	// slowest-consumer acknowledgement time.
 	Scan, Dispatch *telemetry.Span
 

@@ -4,7 +4,6 @@ import (
 	"io"
 	"time"
 
-	"fluxquery/internal/proj"
 	"fluxquery/internal/shared"
 	"fluxquery/internal/xmltok"
 	"fluxquery/internal/xsax"
@@ -25,9 +24,9 @@ import (
 // stream is woken rarely.
 //
 // Ownership: pending batches are dispatcher-owned xsax.Batches. Append
-// deep-copies event payloads out of the scanner (sequential) or the
-// validated ring batch (pipelined) immediately, so the source memory can
-// recycle without waiting for evaluator acknowledgements; symbol-table
+// deep-copies event payloads out of the source batch immediately, so the
+// source memory can recycle without waiting for evaluator
+// acknowledgements; symbol-table
 // references stay valid for the whole stream (the table is append-only
 // between streams, see xmltok.SymTab). A flush is the standard
 // BeginFeed/EndFeed rendezvous, after which the pending batch resets and
@@ -88,115 +87,19 @@ type DispatchStats struct {
 	BuildNanos int64
 }
 
-// runTrie is the trie-routed shared pass, sequential or pipelined
-// depending on d.Parallel.
+// runTrie is the trie-routed shared pass. It draws batches from the
+// same source as the fanout pass (see openPass) and routes their events
+// into per-class pending batches, bounded like the source's batches.
 func (d *Dispatcher) runTrie(r io.Reader, consumers []Consumer) (xsax.ScanStats, PassStats, error) {
 	maxEvents := d.BatchEvents
 	if maxEvents <= 0 {
-		maxEvents = defaultBatchEvents
+		maxEvents = xsax.DefaultBatchEvents
 	}
-	maxBytes := d.BatchBytes
-	if maxBytes <= 0 {
-		maxBytes = defaultBatchBytes
-	}
-	s := newTrieSink(d.Trie, d.Members, consumers, maxEvents, maxBytes)
-	if d.Parallel >= 2 {
-		return d.runTriePipelined(r, s)
-	}
-	return d.runTrieSeq(r, s)
-}
-
-func (d *Dispatcher) runTrieSeq(r io.Reader, s *trieSink) (xsax.ScanStats, PassStats, error) {
-	xr := xsax.GetReader(r, d.DTD)
-	if d.Proj != nil && d.ProjMode != proj.ModeOff {
-		xr.SetProjection(d.Proj, d.ProjMode)
-	}
-	obs := d.Obs
-	var scanTime, dispTime time.Duration
-	var cause error
-	for cause == nil {
-		if err := d.ctxErr(); err != nil {
-			cause = err
-			break
-		}
-		if err := d.Gate.Wait(); err != nil {
-			cause = err
-			break
-		}
-		var t0 time.Time
-		if obs != nil {
-			t0 = time.Now()
-		}
-		// One chunk of routing between gate checks. Appending into
-		// pending batches is counted as scan work here; the flush
-		// rendezvous below is the dispatch side.
-		for n := 0; n < s.maxEvents; n++ {
-			ev, err := xr.NextEvent()
-			if err != nil {
-				cause = err
-				break
-			}
-			s.route(ev)
-		}
-		var t1 time.Time
-		if obs != nil {
-			t1 = time.Now()
-			scanTime += t1.Sub(t0)
-		}
-		s.flushDue(nil)
-		if obs != nil {
-			dispTime += time.Since(t1)
-		}
-	}
-	s.finish(cause, nil)
-	if obs != nil {
-		obs.Scan.AddTime(scanTime)
-		obs.Dispatch.AddTime(dispTime)
-		obs.Batches = s.flushes
-		obs.Events = s.events
-	}
-	s.report(d.Disp)
-	sc := xr.ScanStats()
-	xsax.PutReader(xr)
-	if cause == io.EOF {
-		return sc, PassStats{}, nil
-	}
-	return sc, PassStats{}, cause
-}
-
-func (d *Dispatcher) runTriePipelined(r io.Reader, s *trieSink) (xsax.ScanStats, PassStats, error) {
-	var pa *proj.Automaton
-	if d.Proj != nil && d.ProjMode != proj.ModeOff {
-		pa = d.Proj
-	}
-	be, bb := d.BatchEvents, d.BatchBytes
-	if be <= 0 {
-		be = 4 * defaultBatchEvents
-	}
-	if bb <= 0 {
-		bb = 4 * defaultBatchBytes
-	}
-	pl := xsax.NewPipeline(r, d.DTD, xsax.PipelineConfig{
-		BatchEvents: be,
-		BatchBytes:  bb,
-		Proj:        pa,
-		ProjMode:    d.ProjMode,
-		Throttle:    d.Gate.Wait,
-		Ctx:         d.Ctx,
-	})
+	s := newTrieSink(d.Trie, d.Members, consumers, maxEvents, xsax.DefaultBatchBytes)
 	// The feed workers shard the trie's flush sets: per source batch,
 	// only the plans whose pending batches filled are woken, and the
 	// pool's cost-ordered claim/steal discipline balances them.
-	workers := d.Parallel
-	if workers > len(s.cons) {
-		workers = len(s.cons)
-	}
-	var pool *evalPool
-	if workers >= 2 {
-		pool = newEvalPool(workers)
-	} else {
-		workers = 1
-	}
+	pl, pool := d.openPass(r, len(s.cons))
 
 	obs := d.Obs
 	var scanTime, dispTime time.Duration
@@ -211,6 +114,8 @@ func (d *Dispatcher) runTriePipelined(r io.Reader, s *trieSink) (xsax.ScanStats,
 		if obs != nil {
 			t0 = time.Now()
 		}
+		// Appending into pending batches is counted as scan work; the
+		// flush rendezvous below is the dispatch side.
 		vb, err := pl.Next()
 		if err != nil {
 			cause = err
@@ -224,9 +129,7 @@ func (d *Dispatcher) runTriePipelined(r io.Reader, s *trieSink) (xsax.ScanStats,
 			t1 = time.Now()
 			scanTime += t1.Sub(t0)
 		}
-		if vb.Len() > 0 {
-			batches++
-		}
+		batches++
 		s.flushDue(pool)
 		if obs != nil {
 			dispTime += time.Since(t1)
@@ -234,24 +137,10 @@ func (d *Dispatcher) runTriePipelined(r io.Reader, s *trieSink) (xsax.ScanStats,
 		pl.Recycle(vb)
 	}
 	s.finish(cause, pool)
-	var steals int64
-	if pool != nil {
-		steals = pool.close()
-	}
-	sc, pps, _ := pl.Close()
-	ps := PassStats{
-		Parallel:      workers,
-		Batches:       batches,
-		Steals:        steals,
-		TokenizeStall: pps.TokStall,
-		ValidateStall: pps.ValStall,
-		DispatchStall: pps.DispStall,
-		TokenRingPeak: pps.TokRingPeak,
-		EventRingPeak: pps.ValRingPeak,
-	}
+	sc, ps := closePass(pl, pool, batches)
 	if obs != nil {
 		obs.Scan.AddTime(scanTime)
-		obs.Scan.AddStall(pps.DispStall)
+		obs.Scan.AddStall(ps.DispatchStall)
 		obs.Dispatch.AddTime(dispTime)
 		obs.Batches = s.flushes
 		obs.Events = s.events
@@ -288,8 +177,8 @@ type trieSink struct {
 	due     []int32
 	dueMark []bool
 
-	// flush scratch for the pooled path: one task per live member of
-	// each due class, all members of a class sharing its event slice.
+	// flush scratch: one task per live member of each due class, all
+	// members of a class sharing its event slice.
 	parTasks []Consumer
 	parEvs   [][]xsax.Event
 	parIdx   []int32
@@ -380,19 +269,13 @@ func (s *trieSink) deliver(classes []int32, ev *xsax.Event) {
 	}
 }
 
-// flushDue feeds every due class's pending batch to its live members —
-// through the worker pool when one is available.
+// flushDue feeds every due class's pending batch to its live members
+// through the worker pool.
 func (s *trieSink) flushDue(pool *evalPool) {
 	if len(s.due) == 0 {
 		return
 	}
-	if pool != nil {
-		s.flushPooled(pool)
-	} else {
-		for _, c := range s.due {
-			s.flushOne(c)
-		}
-	}
+	s.flush(pool)
 	for _, c := range s.due {
 		s.dueMark[c] = false
 	}
@@ -407,24 +290,7 @@ func (s *trieSink) closeMember(p, c int32, cause error) {
 	s.clsLive[c]--
 }
 
-func (s *trieSink) flushOne(c int32) {
-	b := s.pend[c]
-	for _, p := range s.members[c] {
-		if s.dead[p] {
-			continue
-		}
-		cons := s.cons[p]
-		cons.BeginFeed(b.Events)
-		done, _ := cons.EndFeed()
-		s.flushes++
-		if done {
-			s.closeMember(p, c, nil)
-		}
-	}
-	b.Reset()
-}
-
-func (s *trieSink) flushPooled(pool *evalPool) {
+func (s *trieSink) flush(pool *evalPool) {
 	s.parTasks, s.parEvs = s.parTasks[:0], s.parEvs[:0]
 	s.parIdx, s.parCls = s.parIdx[:0], s.parCls[:0]
 	for _, c := range s.due {

@@ -36,17 +36,17 @@ func TestParseDispatchMode(t *testing.T) {
 
 // TestTrieDispatchMatchesFanout: trie-routed shared passes produce
 // byte-identical per-plan output to fanout passes (and therefore to
-// independent runs, which the fanout differential already pins),
-// sequential and pipelined.
+// independent runs, which the fanout differential already pins), inline
+// and staged.
 func TestTrieDispatchMatchesFanout(t *testing.T) {
 	d := dtd.MustParse(weakBib)
 	doc := bibDoc(300)
 	queries := []string{q3, qTitles, q3, qTitles, q3}
 
-	run := func(mode DispatchMode, parallel int) []string {
+	run := func(mode DispatchMode, procs int) []string {
+		withProcs(t, procs)
 		s := NewSet(d)
 		s.SetDispatch(mode)
-		s.SetParallel(parallel)
 		outs := make([]*bytes.Buffer, len(queries))
 		for i, q := range queries {
 			outs[i] = &bytes.Buffer{}
@@ -55,11 +55,11 @@ func TestTrieDispatchMatchesFanout(t *testing.T) {
 			}
 		}
 		if err := s.Run(strings.NewReader(doc)); err != nil {
-			t.Fatalf("mode=%v parallel=%d: %v", mode, parallel, err)
+			t.Fatalf("mode=%v procs=%d: %v", mode, procs, err)
 		}
 		ds := s.LastDispatch()
 		if ds.Mode != mode.String() || ds.Plans != len(queries) {
-			t.Errorf("mode=%v parallel=%d: dispatch stats %+v", mode, parallel, ds)
+			t.Errorf("mode=%v procs=%d: dispatch stats %+v", mode, procs, ds)
 		}
 		if mode == DispatchTrie && (ds.TrieNodes == 0 || ds.Events == 0 || ds.Deliveries == 0 || ds.Flushes == 0) {
 			t.Errorf("trie pass reported no routing work: %+v", ds)
@@ -72,12 +72,12 @@ func TestTrieDispatchMatchesFanout(t *testing.T) {
 	}
 
 	want := run(DispatchFanout, 1)
-	for _, parallel := range []int{1, 2, 4} {
-		got := run(DispatchTrie, parallel)
+	for _, procs := range []int{1, 2, 4} {
+		got := run(DispatchTrie, procs)
 		for i := range got {
 			if got[i] != want[i] {
-				t.Errorf("parallel=%d plan %d: trie output differs\ntrie:   %.200s\nfanout: %.200s",
-					parallel, i, got[i], want[i])
+				t.Errorf("procs=%d plan %d: trie output differs\ntrie:   %.200s\nfanout: %.200s",
+					procs, i, got[i], want[i])
 			}
 		}
 	}

@@ -40,7 +40,7 @@ type Span struct {
 	BytesIn   int64 `json:"bytes_in,omitempty"`
 	EventsOut int64 `json:"events_out,omitempty"`
 	// RingPeak is the high-water occupancy of the ring the stage feeds
-	// (pipelined passes only).
+	// (staged passes only).
 	RingPeak int `json:"ring_peak,omitempty"`
 	// Children are sub-stages.
 	Children []*Span `json:"children,omitempty"`

@@ -41,8 +41,8 @@ const maxRetainedSyms = 4096
 // Intern/Reset). Name and Len may be called from other goroutines
 // concurrently with Intern, provided the caller obtained the symbol
 // through a happens-before edge from the intern that issued it — the
-// batch-ring handoff of the pipelined pass, or the batch rendezvous of
-// the sequential pass, both establish that edge. Intern publishes the
+// batch-ring handoff of a staged pass, or the batch rendezvous of an
+// inline pass, both establish that edge. Intern publishes the
 // name vector through an atomic pointer on every new name, so readers
 // never observe a torn slice header. Reset still requires quiescence: it
 // renumbers symbols, so no reader may hold symbols across it (streams

@@ -43,10 +43,14 @@ func (b *Batch) Reset() {
 	b.src = nil
 }
 
-// appendDirect appends an already-owned event without copying into the
-// arena; the pipelined validator uses it because its event views alias
-// the TokBatch recycled together with this batch.
-func (b *Batch) appendDirect(e Event) { b.Events = append(b.Events, e) }
+// slot appends a zero event of the given kind and returns it for the
+// caller to fill in place, without copying into the arena: the staged
+// validator uses it because its event views alias the TokBatch recycled
+// together with this batch.
+func (b *Batch) slot(kind xmltok.Kind) *Event {
+	b.Events = append(b.Events, Event{Kind: kind})
+	return &b.Events[len(b.Events)-1]
+}
 
 // Len returns the number of buffered events.
 func (b *Batch) Len() int { return len(b.Events) }

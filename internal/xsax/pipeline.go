@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"time"
 
@@ -13,7 +14,9 @@ import (
 	"fluxquery/internal/xmltok"
 )
 
-// This file implements the pipelined pass: tokenization, DTD validation
+// This file implements the pass's batch source, the Pipeline. It has two
+// forms, chosen by the pass width (PipelineConfig.Width, derived from
+// GOMAXPROCS by default). With width >= 2 tokenization, DTD validation
 // and delivery run as three stages on separate goroutines, connected by
 // two bounded SPSC rings of owned batches —
 //
@@ -27,35 +30,45 @@ import (
 // and error semantics are exactly those of the sequential Reader — the
 // differential tests pin byte-identical output.
 //
+// With width 1 there is no second core for a stage to run on, and the
+// ring hand-offs would only add scheduling to the same serial work. Next
+// then fills each batch inline, on the caller's goroutine, from a
+// validating Reader (with the projection installed on it), and no stage
+// goroutine is started. Both forms deliver the same events in the same
+// order with the same terminal error.
+//
 // Each ring is a pair of channels: full batches flowing downstream and
 // empty batches flowing back. The batch population is fixed at ring
 // construction, so a stage that outruns its consumer blocks on the full
 // ring (backpressure) and a stage that outruns its producer blocks on
 // the empty one; both blocked times are accounted as per-stage stalls.
 
-// PipeStats reports a pipelined pass's stage metrics.
+// PipeStats reports a pass's stage metrics (stalls and ring peaks are
+// zero for the inline form).
 type PipeStats struct {
 	// Batches counts validated batches handed to the caller.
 	Batches int64
-	// TokStall is the time the tokenizer stage spent blocked on a full
-	// token ring (validation was the bottleneck); ValStall the same for
-	// the validator on the event ring (consumers were the bottleneck);
-	// DispStall the time the caller waited for a validated batch (the
-	// scan was the bottleneck).
+	// TokStall is the time the tokenizer stage spent blocked on its
+	// downstream — a full token ring, or no free batch because all of
+	// them were downstream (validation was the bottleneck); ValStall the
+	// same for the validator on the event ring (consumers were the
+	// bottleneck); DispStall the time the caller waited for a validated
+	// batch (the scan was the bottleneck).
 	TokStall, ValStall, DispStall time.Duration
 	// TokRingPeak and ValRingPeak are high-water occupancies of the two
 	// rings, observed at send.
 	TokRingPeak, ValRingPeak int
 }
 
-// PipelineConfig configures a pipelined pass.
+// PipelineConfig configures a pass's batch source.
 type PipelineConfig struct {
-	// BatchEvents and BatchBytes bound a batch (defaults 256 events,
-	// 32 KiB of payload).
+	// Width is the pass width: >= 2 runs the tokenize and validate
+	// stages on their own goroutines, 1 fills batches inline on the
+	// caller's goroutine, 0 derives it (see Width).
+	Width int
+	// BatchEvents bounds a batch's event count (default
+	// DefaultBatchEvents); its payload is bounded by DefaultBatchBytes.
 	BatchEvents int
-	BatchBytes  int
-	// RingDepth bounds each inter-stage ring (default 4 batches).
-	RingDepth int
 	// Proj and ProjMode install a projection automaton, with the same
 	// semantics as Reader.SetProjection.
 	Proj     *proj.Automaton
@@ -72,15 +85,50 @@ type PipelineConfig struct {
 	Ctx context.Context
 }
 
-const defaultRingDepth = 4
+// Default batch bounds, one rule for every pass. Every batch pays a
+// rendezvous with each consumer and, in the staged form, two ring
+// hand-offs plus a feed-worker barrier, so batches are large enough to
+// amortize that coordination. Measured on the xmark-stream benchmark
+// (7 plans, 2-vCPU VM): 256 events / 32 KiB reached 0.45-0.50 MB/ref,
+// 512 / 64 KiB 0.57-0.58, this size 0.54-0.65, and 2048 / 256 KiB no
+// more (0.63-0.66) for 2 MB more peak RSS.
+const (
+	DefaultBatchEvents = 1024
+	DefaultBatchBytes  = 128 << 10
+)
 
-// Pipeline is one pipelined tokenize→validate pass over a stream. The
-// caller drains it with Next/Recycle and must Close it exactly once —
-// also on early abandonment, which unblocks and joins the stages.
+// ringDepth bounds each inter-stage ring: a stage may run a few batches
+// ahead of a consumer whose per-batch cost varies, without letting the
+// rings (and their fixed batch populations of ringDepth+1) grow memory.
+const ringDepth = 4
+
+// Width returns the derived pass width: the number of goroutines the Go
+// scheduler runs at once (GOMAXPROCS). Passes stage their tokenizer and
+// validator when it is at least 2 and shard their consumers over up to
+// that many feed workers.
+func Width() int { return runtime.GOMAXPROCS(0) }
+
+// Pipeline is one tokenize→validate pass over a stream. The caller
+// drains it with Next/Recycle and must Close it exactly once — also on
+// early abandonment, which unblocks and joins the stages.
 type Pipeline struct {
-	sc  *xmltok.Scanner
-	d   *dtd.DTD
-	cfg PipelineConfig
+	// xr owns the scanner and the validation core. The inline form reads
+	// events through it; the staged form drives its scanner from the
+	// tokenizer stage and its validation core from the validator stage.
+	// sc and syms copy xr's scanner and symbol table pointers: the
+	// stages read them here, on a line nothing writes during the pass,
+	// not next to the validation core the validator keeps writing.
+	xr     *Reader
+	sc     *xmltok.Scanner
+	syms   *xmltok.SymTab
+	d      *dtd.DTD
+	cfg    PipelineConfig
+	staged bool
+
+	// Inline-form state: the one batch Next fills and the sticky
+	// terminal error.
+	ib   *Batch
+	ierr error
 
 	// ctxDone is cfg.Ctx's done channel (nil blocks forever when no
 	// context is configured).
@@ -116,7 +164,6 @@ type Pipeline struct {
 	// Validator-stage state. vname caches sym→owned name bytes for
 	// vcore, which keys on byte slices (one small allocation per
 	// distinct name per stream).
-	val      vcore
 	vname    [][]byte
 	verr     error
 	valStats ScanStats
@@ -130,33 +177,41 @@ type Pipeline struct {
 
 var pipePool sync.Pool
 
-// NewPipeline starts a pipelined pass over rd under DTD d. The two stage
-// goroutines run until the stream's terminal condition or Close.
+// NewPipeline starts a pass over rd under DTD d. In the staged form the
+// two stage goroutines run until the stream's terminal condition or
+// Close; the inline form starts none.
 func NewPipeline(rd io.Reader, d *dtd.DTD, cfg PipelineConfig) *Pipeline {
 	var p *Pipeline
 	if v := pipePool.Get(); v != nil {
 		p = v.(*Pipeline)
-		p.sc.Reset(rd)
+		p.xr.Reset(rd, d)
 	} else {
-		p = &Pipeline{sc: xmltok.NewScanner(rd)}
+		p = &Pipeline{xr: NewReader(rd, d)}
+	}
+	if cfg.Width <= 0 {
+		cfg.Width = Width()
 	}
 	if cfg.BatchEvents <= 0 {
-		cfg.BatchEvents = 256
-	}
-	if cfg.BatchBytes <= 0 {
-		cfg.BatchBytes = 32 << 10
-	}
-	if cfg.RingDepth <= 0 {
-		cfg.RingDepth = defaultRingDepth
+		cfg.BatchEvents = DefaultBatchEvents
 	}
 	if cfg.ProjMode == proj.ModeOff {
 		cfg.Proj = nil
 	}
+	p.sc, p.syms = p.xr.sc, p.xr.sc.Syms()
 	p.d = d
 	p.cfg = cfg
+	p.staged = cfg.Width >= 2
 	p.ctxDone = nil
 	if cfg.Ctx != nil {
 		p.ctxDone = cfg.Ctx.Done()
+	}
+	p.batches = 0
+	p.closed = false
+	if !p.staged {
+		p.xr.SetProjection(cfg.Proj, cfg.ProjMode)
+		p.ib = GetBatch()
+		p.ierr = nil
+		return p
 	}
 	p.pauto = cfg.Proj
 	p.pfast = cfg.ProjMode == proj.ModeFast
@@ -173,15 +228,13 @@ func NewPipeline(rd io.Reader, d *dtd.DTD, cfg PipelineConfig) *Pipeline {
 	p.terr, p.terrLine = nil, 0
 	p.tokStats, p.valStats = ScanStats{}, ScanStats{}
 	p.tokStall, p.valStall, p.dispStall = 0, 0, 0
-	p.tokPeak, p.valPeak, p.batches = 0, 0, 0
-	p.val.reset(d)
+	p.tokPeak, p.valPeak = 0, 0
 	for i := range p.vname {
 		p.vname[i] = nil
 	}
 	p.verr = nil
-	p.closed = false
 
-	r := cfg.RingDepth
+	r := ringDepth
 	p.quit = make(chan struct{})
 	p.tvFull = make(chan *TokBatch, r)
 	p.tvFree = make(chan *TokBatch, r+1)
@@ -200,11 +253,19 @@ func NewPipeline(rd io.Reader, d *dtd.DTD, cfg PipelineConfig) *Pipeline {
 	return p
 }
 
+// Staged reports whether the pass runs its tokenize and validate stages
+// on their own goroutines (width >= 2) rather than inline.
+func (p *Pipeline) Staged() bool { return p.staged }
+
 // Next returns the next validated batch, or the pass's terminal error
-// once the stages have drained: io.EOF after a well-formed, valid
+// once the stream is drained: io.EOF after a well-formed, valid
 // document, the first stream or validation error otherwise. The batch
-// (including every byte view) is owned by the caller until Recycle.
+// (including every byte view) is owned by the caller until Recycle,
+// which must come before the next call.
 func (p *Pipeline) Next() (*Batch, error) {
+	if !p.staged {
+		return p.nextInline()
+	}
 	var vb *Batch
 	var ok bool
 	select {
@@ -226,9 +287,51 @@ func (p *Pipeline) Next() (*Batch, error) {
 	return vb, nil
 }
 
+// nextInline is Next for width 1: it fills one reused batch from the
+// Reader. Events validated before a stream error are still delivered;
+// the error follows on the next call.
+func (p *Pipeline) nextInline() (*Batch, error) {
+	if p.ierr != nil {
+		return nil, p.ierr
+	}
+	if p.ctxDone != nil {
+		select {
+		case <-p.ctxDone:
+			p.ierr = p.cfg.Ctx.Err()
+			return nil, p.ierr
+		default:
+		}
+	}
+	if p.cfg.Throttle != nil {
+		if err := p.cfg.Throttle(); err != nil {
+			p.ierr = err
+			return nil, err
+		}
+	}
+	b := p.ib
+	b.Reset()
+	for b.Len() < p.cfg.BatchEvents && b.ArenaBytes() < DefaultBatchBytes {
+		ev, err := p.xr.NextEvent()
+		if err != nil {
+			p.ierr = err
+			break
+		}
+		b.Append(ev)
+	}
+	if b.Len() == 0 {
+		return nil, p.ierr
+	}
+	p.batches++
+	return b, nil
+}
+
 // Recycle returns a batch obtained from Next, together with the raw
-// token batch backing its views, to the pipeline's rings.
+// token batch backing its views, to the pipeline's rings. The inline
+// form refills its one batch in place, so there is nothing to return.
 func (p *Pipeline) Recycle(b *Batch) {
+	if !p.staged {
+		return
+	}
 	tb := b.src
 	b.src = nil
 	if tb != nil {
@@ -253,6 +356,17 @@ func (p *Pipeline) Close() (ScanStats, PipeStats, error) {
 		return ScanStats{}, PipeStats{}, fmt.Errorf("xsax: pipeline closed twice")
 	}
 	p.closed = true
+	if !p.staged {
+		PutBatch(p.ib)
+		p.ib = nil
+		err := p.ierr
+		if err == io.EOF {
+			err = nil
+		}
+		sc, ps := p.xr.ScanStats(), PipeStats{Batches: p.batches}
+		pipePool.Put(p)
+		return sc, ps, err
+	}
 	close(p.quit)
 	p.wg.Wait()
 	// Stages are joined: drain the rings back into the pools. The full
@@ -316,13 +430,11 @@ func (p *Pipeline) tokRun() {
 	defer p.wg.Done()
 	defer close(p.tvFull)
 	for {
-		var tb *TokBatch
-		select {
-		case tb = <-p.tvFree:
-			tb.Reset()
-		case <-p.quit:
+		tb, ok := recvFree(p.tvFree, p.quit, &p.tokStall)
+		if !ok {
 			return
 		}
+		tb.Reset()
 		if p.cfg.Throttle != nil {
 			if err := p.cfg.Throttle(); err != nil {
 				// Cancelled at the backpressure point: the error is the
@@ -338,7 +450,7 @@ func (p *Pipeline) tokRun() {
 			}
 		}
 		var terminal bool
-		for tb.Len() < p.cfg.BatchEvents && tb.ArenaBytes() < p.cfg.BatchBytes {
+		for tb.Len() < p.cfg.BatchEvents && tb.ArenaBytes() < DefaultBatchBytes {
 			ev, err := p.sc.NextEvent()
 			if err == nil {
 				err = p.tokEmit(tb, ev)
@@ -364,6 +476,27 @@ func (p *Pipeline) tokRun() {
 		if terminal {
 			return
 		}
+	}
+}
+
+// recvFree takes an empty batch off a stage's free ring. The free ring
+// runs dry only when every batch of the fixed population is downstream,
+// so a wait here is the stage blocked on its consumer and is accounted
+// as the stage's stall, like a wait on a full ring. ok is false when the
+// pass was abandoned.
+func recvFree[B any](free <-chan B, quit <-chan struct{}, stall *int64) (b B, ok bool) {
+	select {
+	case b = <-free:
+		return b, true
+	default:
+	}
+	start := time.Now()
+	select {
+	case b = <-free:
+		*stall += time.Since(start).Nanoseconds()
+		return b, true
+	case <-quit:
+		return b, false
 	}
 }
 
@@ -520,20 +653,18 @@ func (p *Pipeline) valRun() {
 		if !ok {
 			// Tokenizer terminal: convert a rootless clean EOF like the
 			// sequential reader does.
-			if p.terr == io.EOF && !p.val.sawRoot {
+			if p.terr == io.EOF && !p.xr.vcore.sawRoot {
 				p.verr = fmt.Errorf("xsax: line %d: document has no root element", p.terrLine)
 			} else {
 				p.verr = p.terr
 			}
 			return
 		}
-		var vb *Batch
-		select {
-		case vb = <-p.vdFree:
-			vb.Reset()
-		case <-p.quit:
+		vb, ok := recvFree(p.vdFree, p.quit, &p.valStall)
+		if !ok {
 			return
 		}
+		vb.Reset()
 		var verr error
 		for i := range tb.Events {
 			if verr = p.valEvent(vb, &tb.Events[i]); verr != nil {
@@ -611,7 +742,7 @@ func (p *Pipeline) nameOf(sym xmltok.Sym) []byte {
 			return nb
 		}
 	}
-	nb := []byte(p.sc.Syms().Name(sym))
+	nb := []byte(p.syms.Name(sym))
 	for int(sym) >= len(p.vname) {
 		p.vname = append(p.vname, nil)
 	}
@@ -626,15 +757,15 @@ func (p *Pipeline) valEvent(vb *Batch, te *TokEvent) error {
 		// Validate-mode pruned interior: full validation, no delivery.
 		switch te.Kind {
 		case xmltok.StartElement:
-			if _, err := p.val.start(te.Sym, p.nameOf(te.Sym), te.Attrs); err != nil {
+			if _, err := p.xr.vcore.start(te.Sym, p.nameOf(te.Sym), te.Attrs); err != nil {
 				return p.valErrf(te, err)
 			}
 		case xmltok.EndElement:
-			if _, err := p.val.end(te.Sym, p.nameOf(te.Sym)); err != nil {
+			if _, err := p.xr.vcore.end(te.Sym, p.nameOf(te.Sym)); err != nil {
 				return p.valErrf(te, err)
 			}
 		case xmltok.Text:
-			deliver, err := p.val.text(te.Data)
+			deliver, err := p.xr.vcore.text(te.Data)
 			if err != nil {
 				return p.valErrf(te, err)
 			}
@@ -648,7 +779,7 @@ func (p *Pipeline) valEvent(vb *Batch, te *TokEvent) error {
 	}
 	switch te.Kind {
 	case xmltok.StartElement:
-		e, err := p.val.start(te.Sym, p.nameOf(te.Sym), te.Attrs)
+		e, err := p.xr.vcore.start(te.Sym, p.nameOf(te.Sym), te.Attrs)
 		if err != nil {
 			return p.valErrf(te, err)
 		}
@@ -658,22 +789,24 @@ func (p *Pipeline) valEvent(vb *Batch, te *TokEvent) error {
 			// (they were still validated above).
 			attrs = nil
 		}
-		vb.appendDirect(Event{Kind: xmltok.StartElement, Name: e.Name, Elem: e, Attrs: attrs, tab: p.sc.Syms()})
+		ev := vb.slot(xmltok.StartElement)
+		ev.Name, ev.Elem, ev.Attrs, ev.tab = e.Name, e, attrs, p.syms
 	case xmltok.EndElement:
 		var e *dtd.Element
 		if te.Flags&tokShellEndFast != 0 {
 			// The interior was bulk-skipped unvalidated, so the content
 			// model's accepting state cannot be checked.
-			e = p.val.popShell()
+			e = p.xr.vcore.popShell()
 		} else {
 			var err error
-			if e, err = p.val.end(te.Sym, p.nameOf(te.Sym)); err != nil {
+			if e, err = p.xr.vcore.end(te.Sym, p.nameOf(te.Sym)); err != nil {
 				return p.valErrf(te, err)
 			}
 		}
-		vb.appendDirect(Event{Kind: xmltok.EndElement, Name: e.Name, Elem: e})
+		ev := vb.slot(xmltok.EndElement)
+		ev.Name, ev.Elem = e.Name, e
 	case xmltok.Text:
-		deliver, err := p.val.text(te.Data)
+		deliver, err := p.xr.vcore.text(te.Data)
 		if err != nil {
 			return p.valErrf(te, err)
 		}
@@ -684,11 +817,12 @@ func (p *Pipeline) valEvent(vb *Batch, te *TokEvent) error {
 			p.valStats.EventsSkipped++
 			return nil
 		}
-		vb.appendDirect(Event{Kind: xmltok.Text, Data: te.Data})
+		vb.slot(xmltok.Text).Data = te.Data
 	case xmltok.ProcInst:
-		vb.appendDirect(Event{Kind: xmltok.ProcInst, Name: p.sc.Syms().Name(te.Sym), Data: te.Data})
+		ev := vb.slot(xmltok.ProcInst)
+		ev.Name, ev.Data = p.syms.Name(te.Sym), te.Data
 	default:
-		vb.appendDirect(Event{Kind: te.Kind, Data: te.Data})
+		vb.slot(te.Kind).Data = te.Data
 	}
 	if p.pauto != nil {
 		p.valStats.EventsDelivered++

@@ -6,7 +6,7 @@ import (
 	"fluxquery/internal/xmltok"
 )
 
-// This file defines the raw token batch that the pipelined pass stages
+// This file defines the raw token batch that the staged pass hands
 // between its tokenizer and validator goroutines. A TokBatch is the
 // pre-validation analogue of Batch: it owns copies of every scanner view
 // so the scanner can keep running ahead, and it carries the projection

@@ -7,8 +7,8 @@ import (
 	"fluxquery/internal/xmltok"
 )
 
-// vcore is the DTD-validation state machine shared by the sequential
-// Reader and the pipelined pass's validator stage: the open-element
+// vcore is the DTD-validation state machine shared by the validating
+// Reader and the staged pass's validator stage: the open-element
 // stack, the content-model stepping, the attribute checks and the
 // sym→declaration binding. Its methods return errors without position
 // information; callers wrap them with the line number of their event

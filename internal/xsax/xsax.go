@@ -121,7 +121,7 @@ type Reader struct {
 	sc *xmltok.Scanner
 	// vcore holds the validation state machine (open-element stack,
 	// content-model stepping, sym→declaration binding); it is shared
-	// with the pipelined pass's validator stage.
+	// with the staged pass's validator stage.
 	vcore
 	attrbuf []xmltok.Attr
 	// ev is the reader-owned event returned by NextEvent; setEvent

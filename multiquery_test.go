@@ -5,7 +5,7 @@ package fluxquery
 // schema path, so their projection automata share prefixes and the
 // dispatch trie interns them — with the family-reuse probability (the
 // overlap ratio) under test control. Every generated set must produce,
-// through a trie-dispatched shared pass at several pipeline widths,
+// through a trie-dispatched shared pass at several pass widths,
 // byte-identical output to N independent Plan.Execute runs. The CI
 // multiquery-differential job runs these under -race at overlap ratios
 // 0.1 and 0.9 (MULTIQUERY_OVERLAP selects one; unset runs both).
@@ -89,7 +89,8 @@ func overlapRatios(t *testing.T) []float64 {
 
 // runSharedDifferential executes every plan independently (the
 // reference), then runs all of them through shared passes in both
-// dispatch modes at the given pipeline widths, asserting byte-identical
+// dispatch modes at the given pass widths (GOMAXPROCS values: 1 is the
+// inline pass, 2 and up staged), asserting byte-identical
 // per-plan output everywhere.
 func runSharedDifferential(t *testing.T, dtdSrc string, queries []string, doc string, widths []int) {
 	t.Helper()
@@ -109,9 +110,9 @@ func runSharedDifferential(t *testing.T, dtdSrc string, queries []string, doc st
 	}
 	for _, mode := range []Dispatch{DispatchFanout, DispatchTrie} {
 		for _, w := range widths {
+			withProcs(t, w)
 			set := NewStreamSet(d)
 			set.SetDispatch(mode)
-			set.SetParallel(w)
 			outs := make([]*bytes.Buffer, len(plans))
 			regs := make([]*StreamQuery, len(plans))
 			for i, p := range plans {

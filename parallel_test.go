@@ -1,17 +1,19 @@
 package fluxquery
 
-// Differential tests of the pipelined pass: with Options.Parallel (or
-// StreamSet.SetParallel) the tokenizer, validator and dispatcher run on
-// separate goroutines connected by bounded batch rings, and the plan set
-// is sharded across feed workers — but the output must stay byte-
-// identical to the sequential pass on every corpus query, and error
+// Differential tests of the pass width. The width follows GOMAXPROCS:
+// at 2 or more the tokenizer, validator and dispatcher run on separate
+// goroutines connected by bounded batch rings and the plan set is
+// sharded across feed workers; at 1 the pass fills its batches inline.
+// The tests set GOMAXPROCS in-process (1, 2, 4), and the output must be
+// byte-identical in every form on every corpus query, with error
 // semantics (validity errors, tag imbalance, projection trade-offs)
-// must be preserved event-for-event. These are the tentpole's primary
-// acceptance tests; run them with -race.
+// preserved event-for-event. Run them with -race.
 
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -20,9 +22,20 @@ import (
 	"fluxquery/internal/workload"
 )
 
+// withProcs sets GOMAXPROCS to n for the rest of the test.
+func withProcs(t testing.TB, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// widths are the GOMAXPROCS values the differential tests sweep: the
+// inline form and two staged widths.
+var widths = []int{1, 2, 4}
+
 // TestParallelDifferentialCorpus: for every workload case and projection
-// mode, pipelined execution is byte-identical to sequential execution,
-// with identical buffer accounting and scan counters.
+// mode, the staged pass is byte-identical to the inline one, with
+// identical buffer accounting and scan counters.
 func TestParallelDifferentialCorpus(t *testing.T) {
 	for _, c := range workload.Cases {
 		c := c
@@ -32,30 +45,33 @@ func TestParallelDifferentialCorpus(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, m := range projModes {
-				seq := MustCompile(c.Query, c.DTD, Options{Projection: m})
-				par := MustCompile(c.Query, c.DTD, Options{Projection: m, Parallel: 4})
-				want, wantSt, err := seq.ExecuteString(doc.String())
+				p := MustCompile(c.Query, c.DTD, Options{Projection: m})
+				withProcs(t, 1)
+				want, wantSt, err := p.ExecuteString(doc.String())
 				if err != nil {
-					t.Fatalf("proj=%v sequential: %v", m, err)
+					t.Fatalf("proj=%v inline: %v", m, err)
 				}
-				got, gotSt, err := par.ExecuteString(doc.String())
-				if err != nil {
-					t.Fatalf("proj=%v parallel: %v", m, err)
-				}
-				if got != want {
-					t.Fatalf("proj=%v: parallel output differs from sequential\npar: %.200s\nseq: %.200s",
-						m, got, want)
-				}
-				if gotSt.PeakBufferBytes != wantSt.PeakBufferBytes ||
-					gotSt.HandlerFirings != wantSt.HandlerFirings ||
-					gotSt.Events != wantSt.Events {
-					t.Errorf("proj=%v: accounting diverged: %+v vs %+v", m, gotSt, wantSt)
-				}
-				if gotSt.ScanEventsDelivered != wantSt.ScanEventsDelivered ||
-					gotSt.ScanEventsSkipped != wantSt.ScanEventsSkipped ||
-					gotSt.ScanSubtreesSkipped != wantSt.ScanSubtreesSkipped ||
-					gotSt.ScanBytesSkipped != wantSt.ScanBytesSkipped {
-					t.Errorf("proj=%v: scan counters diverged: %+v vs %+v", m, gotSt, wantSt)
+				for _, n := range widths[1:] {
+					runtime.GOMAXPROCS(n)
+					got, gotSt, err := p.ExecuteString(doc.String())
+					if err != nil {
+						t.Fatalf("proj=%v procs=%d: %v", m, n, err)
+					}
+					if got != want {
+						t.Fatalf("proj=%v procs=%d: staged output differs from inline\nstaged: %.200s\ninline: %.200s",
+							m, n, got, want)
+					}
+					if gotSt.PeakBufferBytes != wantSt.PeakBufferBytes ||
+						gotSt.HandlerFirings != wantSt.HandlerFirings ||
+						gotSt.Events != wantSt.Events {
+						t.Errorf("proj=%v procs=%d: accounting diverged: %+v vs %+v", m, n, gotSt, wantSt)
+					}
+					if gotSt.ScanEventsDelivered != wantSt.ScanEventsDelivered ||
+						gotSt.ScanEventsSkipped != wantSt.ScanEventsSkipped ||
+						gotSt.ScanSubtreesSkipped != wantSt.ScanSubtreesSkipped ||
+						gotSt.ScanBytesSkipped != wantSt.ScanBytesSkipped {
+						t.Errorf("proj=%v procs=%d: scan counters diverged: %+v vs %+v", m, n, gotSt, wantSt)
+					}
 				}
 			}
 		})
@@ -63,9 +79,8 @@ func TestParallelDifferentialCorpus(t *testing.T) {
 }
 
 // TestParallelStreamSetDifferential: all 8 XMark streaming queries ride
-// one parallel shared pass; every plan's output must be byte-identical
-// to the sequential shared pass, and the pass must report pipeline
-// metrics.
+// one shared pass; every plan's output must be byte-identical at every
+// width, and the pass must report its form and worker count.
 func TestParallelStreamSetDifferential(t *testing.T) {
 	var xmark []*workload.Case
 	for i := range workload.Cases {
@@ -85,9 +100,10 @@ func TestParallelStreamSetDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	run := func(parallel int) []string {
+	run := func(procs int, m Projection) []string {
+		withProcs(t, procs)
 		set := NewStreamSet(d)
-		set.SetParallel(parallel)
+		set.SetProjection(m)
 		outs := make([]*bytes.Buffer, len(xmark))
 		for i, c := range xmark {
 			outs[i] = &bytes.Buffer{}
@@ -96,28 +112,26 @@ func TestParallelStreamSetDifferential(t *testing.T) {
 			}
 		}
 		if err := set.Run(bytes.NewReader(doc.Bytes())); err != nil {
-			t.Fatalf("parallel=%d: %v", parallel, err)
+			t.Fatalf("procs=%d: %v", procs, err)
 		}
 		res := make([]string, len(outs))
 		for i, o := range outs {
 			res[i] = o.String()
 		}
-		if parallel >= 2 {
-			ps := set.LastPass()
-			if ps.Parallel < 2 || ps.Batches == 0 {
-				t.Errorf("parallel=%d: missing pipeline metrics: %+v", parallel, ps)
-			}
+		ps := set.LastPass()
+		if ps.Staged != (procs >= 2) || ps.Parallel != procs || ps.Batches == 0 {
+			t.Errorf("procs=%d: pass metrics %+v", procs, ps)
 		}
 		return res
 	}
 
 	for _, m := range projModes {
-		want := run(1)
-		for _, n := range []int{2, 4, 8} {
-			got := run(n)
+		want := run(1, m)
+		for _, n := range widths[1:] {
+			got := run(n, m)
 			for i := range got {
 				if got[i] != want[i] {
-					t.Errorf("proj=%v parallel=%d: %s diverges from sequential shared pass",
+					t.Errorf("proj=%v procs=%d: %s diverges from the inline shared pass",
 						m, n, xmark[i].Name)
 				}
 			}
@@ -126,9 +140,9 @@ func TestParallelStreamSetDifferential(t *testing.T) {
 }
 
 // TestParallelErrorSemantics mirrors the projection error-trade-off
-// tests under pipelined execution: a validity error buried inside a
-// pruned subtree is caught by validate/off and traded away by fast,
-// while tag imbalance is caught by every mode.
+// tests at every width: a validity error buried inside a pruned subtree
+// is caught by validate/off and traded away by fast, while tag
+// imbalance is caught by every mode.
 func TestParallelErrorSemantics(t *testing.T) {
 	const dtdSrc = `<!ELEMENT bib (book)*>
 <!ELEMENT book (title,extra)>
@@ -139,34 +153,40 @@ func TestParallelErrorSemantics(t *testing.T) {
 	const invalid = `<bib><book><title>T</title><extra><wrong/></extra></book></bib>`
 	const unbalanced = `<bib><book><title>T</title><extra><note></extra></book></bib>`
 
-	for _, m := range projModes {
-		p := MustCompile(query, dtdSrc, Options{Projection: m, Parallel: 4})
-		_, _, err := p.ExecuteString(invalid)
-		if m == ProjectionFast {
-			if err != nil {
-				t.Errorf("fast: expected the invalid-but-balanced interior to be traded away, got %v", err)
+	for _, n := range widths {
+		withProcs(t, n)
+		for _, m := range projModes {
+			p := MustCompile(query, dtdSrc, Options{Projection: m})
+			_, _, err := p.ExecuteString(invalid)
+			if m == ProjectionFast {
+				if err != nil {
+					t.Errorf("procs=%d fast: expected the invalid-but-balanced interior to be traded away, got %v", n, err)
+				}
+			} else if err == nil {
+				t.Errorf("procs=%d proj=%v: undeclared element inside skipped region not reported", n, m)
 			}
-		} else if err == nil {
-			t.Errorf("proj=%v: undeclared element inside skipped region not reported", m)
-		}
-		if _, _, err := p.ExecuteString(unbalanced); err == nil {
-			t.Errorf("proj=%v: tag imbalance inside skipped region not reported", m)
+			if _, _, err := p.ExecuteString(unbalanced); err == nil {
+				t.Errorf("procs=%d proj=%v: tag imbalance inside skipped region not reported", n, m)
+			}
 		}
 	}
 
-	// Error strings must match the sequential pass exactly (same line,
-	// same message): run a buried validity error through both.
-	seq := MustCompile(query, dtdSrc, Options{Projection: ProjectionValidate})
-	par := MustCompile(query, dtdSrc, Options{Projection: ProjectionValidate, Parallel: 4})
-	_, _, serr := seq.ExecuteString(invalid)
-	_, _, perr := par.ExecuteString(invalid)
-	if serr == nil || perr == nil || serr.Error() != perr.Error() {
-		t.Errorf("error mismatch:\nsequential: %v\nparallel:   %v", serr, perr)
+	// Error strings must match across forms exactly (same line, same
+	// message): run a buried validity error through each width.
+	p := MustCompile(query, dtdSrc, Options{Projection: ProjectionValidate})
+	withProcs(t, 1)
+	_, _, want := p.ExecuteString(invalid)
+	for _, n := range widths[1:] {
+		runtime.GOMAXPROCS(n)
+		_, _, got := p.ExecuteString(invalid)
+		if want == nil || got == nil || want.Error() != got.Error() {
+			t.Errorf("error mismatch:\ninline:        %v\nstaged (p=%d): %v", want, n, got)
+		}
 	}
 }
 
 // TestParallelRegisterChurn: Register/Unregister run concurrently with
-// parallel shared passes; unregistered plans detach with
+// staged shared passes; unregistered plans detach with
 // ErrUnregistered, the stream and the other plans are undisturbed, and
 // (under -race) no counter or batch is shared unsynchronized.
 func TestParallelRegisterChurn(t *testing.T) {
@@ -187,56 +207,60 @@ func TestParallelRegisterChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	set := NewStreamSet(d)
-	set.SetParallel(4)
-	var out bytes.Buffer
-	if _, err := set.Register(MustCompile(stable.Query, stable.DTD, Options{}), &out); err != nil {
-		t.Fatal(err)
-	}
+	for _, n := range widths {
+		t.Run(fmt.Sprintf("procs=%d", n), func(t *testing.T) {
+			withProcs(t, n)
+			set := NewStreamSet(d)
+			var out bytes.Buffer
+			if _, err := set.Register(MustCompile(stable.Query, stable.DTD, Options{}), &out); err != nil {
+				t.Fatal(err)
+			}
 
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		pa := MustCompile(churnA.Query, churnA.DTD, Options{})
-		pb := MustCompile(churnB.Query, churnB.DTD, Options{})
-		var sink bytes.Buffer
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			qa, err := set.Register(pa, &sink)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			qb, err := set.Register(pb, &sink)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			qa.Unregister()
-			qb.Unregister()
-		}
-	}()
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				pa := MustCompile(churnA.Query, churnA.DTD, Options{})
+				pb := MustCompile(churnB.Query, churnB.DTD, Options{})
+				var sink bytes.Buffer
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					qa, err := set.Register(pa, &sink)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					qb, err := set.Register(pb, &sink)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					qa.Unregister()
+					qb.Unregister()
+				}
+			}()
 
-	for pass := 0; pass < 20; pass++ {
-		out.Reset()
-		if err := set.Run(bytes.NewReader(doc.Bytes())); err != nil {
-			t.Fatalf("pass %d: %v", pass, err)
-		}
-		if out.String() != want {
-			t.Fatalf("pass %d: stable plan's output diverged under churn", pass)
-		}
+			for pass := 0; pass < 20; pass++ {
+				out.Reset()
+				if err := set.Run(bytes.NewReader(doc.Bytes())); err != nil {
+					t.Fatalf("pass %d: %v", pass, err)
+				}
+				if out.String() != want {
+					t.Fatalf("pass %d: stable plan's output diverged under churn", pass)
+				}
+			}
+			close(stop)
+			wg.Wait()
+		})
 	}
-	close(stop)
-	wg.Wait()
 }
 
-// TestParallelUnregisterMidStream: a plan unregistered while a parallel
+// TestParallelUnregisterMidStream: a plan unregistered while a staged
 // pass is in flight detaches at a batch boundary and reports
 // ErrUnregistered; the remaining plan completes byte-identically.
 func TestParallelUnregisterMidStream(t *testing.T) {
@@ -256,33 +280,37 @@ func TestParallelUnregisterMidStream(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	set := NewStreamSet(d)
-	set.SetParallel(4)
-	var out, sink bytes.Buffer
-	if _, err := set.Register(MustCompile(stable.Query, stable.DTD, Options{}), &out); err != nil {
-		t.Fatal(err)
-	}
-	vq, err := set.Register(MustCompile(victim.Query, victim.DTD, Options{}), &sink)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, n := range widths {
+		t.Run(fmt.Sprintf("procs=%d", n), func(t *testing.T) {
+			withProcs(t, n)
+			set := NewStreamSet(d)
+			var out, sink bytes.Buffer
+			if _, err := set.Register(MustCompile(stable.Query, stable.DTD, Options{}), &out); err != nil {
+				t.Fatal(err)
+			}
+			vq, err := set.Register(MustCompile(victim.Query, victim.DTD, Options{}), &sink)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		vq.Unregister()
-	}()
-	if err := set.Run(bytes.NewReader(doc.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	<-done
-	if out.String() != want {
-		t.Fatal("remaining plan's output diverged after mid-stream unregister")
-	}
-	if _, verr := vq.Stats(); verr != nil &&
-		!errors.Is(verr, mqe.ErrUnregistered) && !errors.Is(verr, mqe.ErrNotRun) {
-		// The unregister may also land before the pass starts (clean
-		// detach, never run) — only a foreign error is a failure.
-		t.Fatalf("unexpected victim result: %v", verr)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				vq.Unregister()
+			}()
+			if err := set.Run(bytes.NewReader(doc.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+			<-done
+			if out.String() != want {
+				t.Fatal("remaining plan's output diverged after mid-stream unregister")
+			}
+			if _, verr := vq.Stats(); verr != nil &&
+				!errors.Is(verr, mqe.ErrUnregistered) && !errors.Is(verr, mqe.ErrNotRun) {
+				// The unregister may also land before the pass starts (clean
+				// detach, never run) — only a foreign error is a failure.
+				t.Fatalf("unexpected victim result: %v", verr)
+			}
+		})
 	}
 }
