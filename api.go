@@ -103,13 +103,17 @@ const (
 	// ProjectionFast (the default) bulk-skips irrelevant subtrees in the
 	// tokenizer: their bytes are scanned only for the matching end tag —
 	// no attribute materialization, no entity expansion, no event fanout.
-	// Skipped regions are checked for XML tag balance, but element
-	// declarations and content models inside them are not enforced; every
-	// element at or above the projection frontier is still fully DTD
-	// validated. Output is byte-identical to an unprojected run on every
-	// valid document (the differential suite asserts it); on an invalid
-	// document, an error buried inside an irrelevant subtree may go
-	// undetected.
+	// Inside a skipped region start and end tags are only counted to
+	// track depth (interior end-tag names are not compared with their
+	// start tags, so <x></y> passes), comments, CDATA sections and
+	// processing instructions must be terminated, and only the region's
+	// outer end tag is matched by name against the skipped element.
+	// Element declarations and content models inside are not enforced;
+	// every element at or above the projection frontier is still fully
+	// DTD validated. Output is byte-identical to an unprojected run on
+	// every valid document (the differential suite asserts it); on an
+	// invalid or malformed document, an error buried inside an
+	// irrelevant subtree may go undetected.
 	ProjectionFast Projection = iota
 	// ProjectionValidate filters event delivery through the same
 	// automaton but still tokenizes and DTD-validates the whole stream:
@@ -292,7 +296,7 @@ func (t *Telemetry) Registry() *telemetry.Registry {
 }
 
 // Trace is one pass's span tree, captured by Plan.ExecuteTrace or a
-// StreamSet with tracing enabled: per-stage durations with stall
+// traced StreamSet.RunPass: per-stage durations with stall
 // attribution, data-flow counters and ring high-water marks. It marshals
 // to JSON and renders as a human-readable timeline via WriteTree.
 type Trace = telemetry.Trace
@@ -447,8 +451,8 @@ type Stats struct {
 	// ScanEventsDelivered and ScanEventsSkipped report the stream
 	// projection of the scan that fed this execution: events delivered to
 	// the evaluator vs pruned before it (zero when projection is off).
-	// For a StreamSet run the scan is shared, so these appear in
-	// StreamSet.LastScan rather than per plan.
+	// For a StreamSet pass the scan is shared, so these appear in the
+	// pass's PassResult.Record rather than per plan.
 	ScanEventsDelivered int64
 	ScanEventsSkipped   int64
 	// ScanSubtreesSkipped counts pruned subtrees; ScanBytesSkipped counts
@@ -725,14 +729,19 @@ func (p *Plan) ExecuteString(doc string) (string, Stats, error) {
 // run as stages on their own goroutines, and min(GOMAXPROCS, plans) feed
 // workers shard the plan set by cost estimate (idle workers steal plans
 // from loaded ones). At 1, batches are filled inline and fanned out from
-// the calling goroutine. LastPass reports the form and the worker count.
+// the calling goroutine. The pass's PassResult.Record reports the form
+// and the worker count.
 //
-// Plans are registered with a per-plan output writer and can be
-// registered and unregistered concurrently with Run: registrations take
-// effect at the next Run, unregistrations detach from an in-flight Run at
-// the next event-batch boundary. A plan that fails mid-stream (bad
-// output writer, runtime error) is detached and reported through its
-// StreamQuery; the stream and the other plans continue.
+// A StreamSet is a long-lived registry: a plan is compiled and registered
+// once and rides every pass until unregistered. RunPass is the one pass
+// entry point; each call returns its own PassResult — the pass record and
+// every riding query's statistics and error — so passes that supply
+// their own sinks run concurrently on one set. Plans can be registered
+// and unregistered concurrently with passes: registrations take effect
+// at the next pass, unregistrations detach from an in-flight pass at the
+// next event-batch boundary. A plan that fails mid-stream (bad output
+// writer, runtime error) is detached and reported in the PassResult;
+// the stream and the other plans continue.
 type StreamSet struct {
 	d   *DTD
 	set *mqe.Set
@@ -748,9 +757,10 @@ func NewStreamSet(d *DTD) *StreamSet {
 }
 
 // Register adds a compiled plan to the set, streaming its result to out
-// on every subsequent Run. The plan must use EngineFlux (the baseline
-// engines materialize documents and do not ride event streams) and be
-// compiled against the set's DTD.
+// on every subsequent pass that does not supply its own sinks (out may
+// be nil when every pass will). The plan must use EngineFlux (the
+// baseline engines materialize documents and do not ride event streams)
+// and be compiled against the set's DTD.
 func (s *StreamSet) Register(p *Plan, out io.Writer) (*StreamQuery, error) {
 	return s.RegisterNamed(p, out, "")
 }
@@ -846,16 +856,6 @@ func (d Dispatch) mode() mqe.DispatchMode {
 // immutable-snapshot discipline as the projection union.
 func (s *StreamSet) SetDispatch(d Dispatch) { s.set.SetDispatch(d.mode()) }
 
-// DispatchStats reports the dispatch-layer statistics of the most
-// recent shared pass: the mode and plan count always, and — under
-// DispatchTrie — the trie snapshot's size, the pass's routing totals
-// and the trie build time.
-type DispatchStats = mqe.DispatchStats
-
-// LastDispatch returns the dispatch statistics of the most recent
-// successfully completed Run.
-func (s *StreamSet) LastDispatch() DispatchStats { return s.set.LastDispatch() }
-
 // SetTelemetry wires the set's shared passes into t's metrics registry:
 // pass/byte/event counters, pass-latency and input-size histograms,
 // per-stage stall and ring-occupancy series, and per-plan eval latency
@@ -869,22 +869,12 @@ func (s *StreamSet) SetTelemetry(t *Telemetry) {
 	s.set.SetTelemetry(t.reg)
 }
 
-// SetTracing toggles per-pass span tracing. While enabled, every Run
-// builds a span tree — scan and dispatch phases, one eval span per
-// riding plan, stage spans with stall attribution for staged passes
-// — retrievable through LastTrace. id tags the traces (reused across
-// runs until changed). Takes effect at the next Run.
-func (s *StreamSet) SetTracing(on bool, id string) { s.set.SetTracing(on, id) }
-
-// LastTrace returns the span tree of the most recent completed Run, or
-// nil if tracing was off for that run.
-func (s *StreamSet) LastTrace() *Trace { return s.set.LastTrace() }
-
-// PassRecord is one completed shared pass as retained by the
-// FlightRecorder: engine configuration, data-flow totals, per-stage
-// stall breakdown, ring peaks, buffer and spill accounting, fault hits,
-// cancellation reason and terminal error. It marshals to JSON (duration
-// fields in nanoseconds).
+// PassRecord is one shared pass's record, returned in its PassResult
+// and retained by the FlightRecorder: engine configuration, data-flow
+// totals, projection counters, per-stage stall breakdown, ring peaks,
+// the dispatch trie's shape and routing totals, buffer and spill
+// accounting, fault hits, cancellation reason and terminal error. It
+// marshals to JSON (duration fields in nanoseconds).
 type PassRecord = flightrec.Record
 
 // PassRollup is a windowed aggregate over retained PassRecords: counts,
@@ -997,12 +987,6 @@ func (s *StreamSet) SetRecorder(f *FlightRecorder) {
 // Recorder returns the installed flight recorder (nil when none).
 func (s *StreamSet) Recorder() *FlightRecorder { return s.rec }
 
-// SetRequestID labels subsequent Runs' flight-recorder records (and
-// slow-pass log dumps) with the driving request's id ("" clears it), so
-// a slow pass joins back to its access-log line. Takes effect at the
-// next Run.
-func (s *StreamSet) SetRequestID(id string) { s.set.SetRequestID(id) }
-
 // QueryStats is the cumulative cost ledger of one registered query name:
 // passes ridden, evaluator CPU attributed, events and bytes delivered,
 // buffer high-water marks, spill traffic, error count and last error.
@@ -1082,99 +1066,84 @@ func (s *StreamSet) SetLedger(q *QueryLedger) {
 // Ledger returns the installed cost ledger (nil when none).
 func (s *StreamSet) Ledger() *QueryLedger { return s.led }
 
-// PassStats reports the execution metrics of a shared pass.
-type PassStats struct {
-	// Staged reports the pass's form: true when tokenize and validate
-	// ran as stages on their own goroutines (GOMAXPROCS >= 2), false
-	// when the pass filled its batches inline. The stage stalls and ring
-	// peaks below are recorded only for staged passes.
-	Staged bool
-	// Parallel is the feed worker count the pass ran with:
-	// min(GOMAXPROCS, plans), at least 1.
-	Parallel int
-	// Batches counts validated event batches fanned out to the plans.
-	Batches int64
-	// Steals counts plan feeds claimed by a worker outside its own cost
-	// stripe.
-	Steals int64
-	// TokenizeStall, ValidateStall and DispatchStall are the per-stage
-	// blocked times: the tokenizer on a full token ring (validation was
-	// the bottleneck), the validator on a full event ring (evaluation
-	// was the bottleneck), and the dispatcher waiting for a validated
-	// batch (the scan was the bottleneck).
-	TokenizeStall time.Duration
-	ValidateStall time.Duration
-	DispatchStall time.Duration
-	// TokenRingPeak and EventRingPeak are high-water occupancies of the
-	// two inter-stage rings.
-	TokenRingPeak int
-	EventRingPeak int
+// ErrUnregistered is the error a query reports for a pass it left by
+// being unregistered mid-stream; match it with errors.Is.
+var ErrUnregistered = mqe.ErrUnregistered
+
+// PassOptions configures one StreamSet.RunPass.
+type PassOptions struct {
+	// Sinks, when non-nil, selects the queries the pass runs and gives
+	// each the writer its result streams to; a query that is not
+	// registered when the pass starts is left out. When nil, every
+	// registered query runs and writes to its registration-time writer,
+	// and such passes are serialized (they would interleave on those
+	// writers). Passes with Sinks run concurrently.
+	Sinks map[*StreamQuery]io.Writer
+	// RequestID labels the pass's record (and a slow-pass log dump), so
+	// a slow pass joins back to its access-log line, and tags its trace.
+	RequestID string
+	// Trace captures the pass's span tree — scan and dispatch phases, one
+	// eval span per riding query, stage spans with stall attribution for
+	// staged passes — into Record.Trace.
+	Trace bool
 }
 
-// LastPass returns the execution metrics of the most recent successfully
-// completed Run.
-func (s *StreamSet) LastPass() PassStats {
-	ps := s.set.LastPass()
-	return PassStats{
-		Staged:        ps.Staged,
-		Parallel:      ps.Parallel,
-		Batches:       ps.Batches,
-		Steals:        ps.Steals,
-		TokenizeStall: ps.TokenizeStall,
-		ValidateStall: ps.ValidateStall,
-		DispatchStall: ps.DispatchStall,
-		TokenRingPeak: ps.TokenRingPeak,
-		EventRingPeak: ps.EventRingPeak,
+// PassResult is one shared pass's outcome: its record and the outcome of
+// every query that rode it.
+type PassResult struct {
+	// Record is the pass's record, the same one the FlightRecorder
+	// retains (Trace set only for a traced pass).
+	Record  PassRecord
+	queries map[*mqe.Sub]mqe.QueryResult
+}
+
+// QueryResult is one query's outcome in one pass: its execution
+// statistics and the error that ended its evaluation (nil for a clean
+// one, ErrUnregistered when it was unregistered mid-pass).
+type QueryResult struct {
+	Stats Stats
+	Err   error
+}
+
+// Query returns q's outcome in the pass; ok is false when q did not ride
+// it (not selected by Sinks, or not registered when the pass started).
+func (r PassResult) Query(q *StreamQuery) (res QueryResult, ok bool) {
+	qr, ok := r.queries[q.sub]
+	if !ok {
+		return QueryResult{}, false
 	}
+	return QueryResult{Stats: statsFrom(&qr.Stats, EngineFlux, qr.Duration), Err: qr.Err}, true
 }
 
-// ScanStats reports one shared scan pass of a StreamSet.
-type ScanStats struct {
-	// Passes counts completed Run calls (each is exactly one
-	// tokenize+validate pass regardless of how many plans ride it).
-	Passes int64
-	// EventsDelivered and EventsSkipped report the most recent pass's
-	// projection: events fanned out to the plans vs pruned at the scan.
-	EventsDelivered int64
-	EventsSkipped   int64
-	// SubtreesSkipped counts pruned subtrees; BytesSkipped counts raw
-	// input bytes bulk-skipped by the tokenizer (ProjectionFast only).
-	SubtreesSkipped int64
-	BytesSkipped    int64
-	// InputBytes is the raw input size the most recent pass consumed,
-	// skipped regions included.
-	InputBytes int64
-	// Stall is the time the pass spent blocked by BufferBackpressure.
-	Stall time.Duration
-}
-
-// LastScan returns the scan statistics of the most recent Run.
-func (s *StreamSet) LastScan() ScanStats {
-	sc, passes := s.set.LastScan()
-	return ScanStats{
-		Passes:          passes,
-		EventsDelivered: sc.EventsDelivered,
-		EventsSkipped:   sc.EventsSkipped,
-		SubtreesSkipped: sc.SubtreesSkipped,
-		BytesSkipped:    sc.BytesSkipped,
-		InputBytes:      sc.BytesRead,
-		Stall:           s.set.LastStall(),
+// RunPass evaluates the queries o selects over one document in a single
+// shared tokenize+validate pass and returns the pass's record and
+// per-query outcomes. RunPass's own error is the stream's (tokenizer or
+// validation failure), nil on a well-formed, valid document; a failing
+// query never disturbs the stream or its siblings.
+//
+// Under a cancellable ctx the pass checks it at every batch boundary,
+// parked stages (backpressure gate waits, pipeline ring hand-offs)
+// unpark on cancellation, and ctx's error becomes both RunPass's return
+// and every riding query's error — a cancelled pass always reports the
+// cancellation on each query, never a silently truncated result. A nil
+// ctx never cancels.
+func (s *StreamSet) RunPass(ctx context.Context, r io.Reader, o PassOptions) (PassResult, error) {
+	mo := mqe.PassOptions{RequestID: o.RequestID, Trace: o.Trace}
+	if o.Sinks != nil {
+		mo.Sinks = make(map[*mqe.Sub]io.Writer, len(o.Sinks))
+		for q, w := range o.Sinks {
+			mo.Sinks[q.sub] = w
+		}
 	}
+	res, err := s.set.RunPass(ctx, r, mo)
+	return PassResult{Record: res.Record, queries: res.Queries}, err
 }
 
-// Run evaluates every registered plan over one document in a single
-// shared pass. Per-plan outcomes are reported through each StreamQuery;
-// Run's own error is the stream's (tokenizer or validation failure), nil
-// on a well-formed, valid document. Concurrent Run calls are serialized,
-// since every plan streams to the fixed writer it was registered with.
-func (s *StreamSet) Run(r io.Reader) error { return s.set.Run(r) }
+// Run is RunPass over every registered query with its registration-time
+// writer; per-query outcomes are read through each StreamQuery.
+func (s *StreamSet) Run(r io.Reader) error { return s.RunContext(nil, r) }
 
-// RunContext is Run under a cancellation context: the shared pass checks
-// ctx at every batch boundary, parked stages (backpressure gate waits,
-// pipeline ring hand-offs) unpark on cancellation, and ctx's error
-// becomes both RunContext's return and every riding query's Err() — a
-// cancelled pass always reports the cancellation on each query, never a
-// silently truncated result.
+// RunContext is Run under a cancellation context (see RunPass).
 func (s *StreamSet) RunContext(ctx context.Context, r io.Reader) error {
 	return s.set.RunContext(ctx, r)
 }
@@ -1187,14 +1156,16 @@ type StreamQuery struct {
 	sub *mqe.Sub
 }
 
-// Unregister removes the plan from its StreamSet. If a Run is in flight
-// the plan is detached at the next batch boundary and that run's result
-// records the abort. Unregister is idempotent.
+// Unregister removes the plan from its StreamSet. If a pass is in flight
+// the plan is detached at the next batch boundary and that pass's result
+// records ErrUnregistered for it. Unregister is idempotent.
 func (q *StreamQuery) Unregister() { q.sub.Unregister() }
 
-// Stats returns the plan's outcome from the most recent Run that included
-// it: execution statistics and the error that ended the evaluation (nil
-// for a clean run). Before any Run it reports an error.
+// Stats returns the plan's outcome from the most recent pass that
+// included it: execution statistics and the error that ended the
+// evaluation (nil for a clean run). Before any pass it reports an error.
+// Under concurrent passes "most recent" is a race; each pass's own
+// outcome is in its PassResult.
 func (q *StreamQuery) Stats() (Stats, error) {
 	rst, err := q.sub.Result()
 	return statsFrom(&rst, EngineFlux, q.sub.Duration()), err

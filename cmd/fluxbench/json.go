@@ -341,8 +341,10 @@ func parallelRecords(r *runner) ([]record, error) {
 			}
 			regs[i] = reg
 		}
-		best, allocs, durs, err := measureAllocs(r.reps, func() error {
-			return set.Run(bytes.NewReader(doc))
+		var res fluxquery.PassResult
+		best, allocs, durs, err := measureAllocs(r.reps, func() (err error) {
+			res, err = set.RunPass(nil, bytes.NewReader(doc), fluxquery.PassOptions{})
+			return err
 		})
 		if err != nil {
 			return nil, err
@@ -358,19 +360,19 @@ func parallelRecords(r *runner) ([]record, error) {
 			}
 			out += st.OutputBytes
 		}
-		sc := set.LastScan()
+		ps := res.Record
 		rec := record{
 			Suite: "parallel", Query: "xmark-8q", Plans: len(plans),
 			Engine: "flux-mqe-seq", DocBytes: len(doc),
 			NsPerOp: best.Nanoseconds(), MBPerS: mbPerS(aggregate, best),
 			AllocsPerOp: allocs, PeakBufferBytes: peak, OutputBytes: out,
 			Proj:            "fast",
-			EventsDelivered: sc.EventsDelivered,
-			EventsSkipped:   sc.EventsSkipped,
-			BytesSkipped:    sc.BytesSkipped,
+			EventsDelivered: ps.EventsDelivered,
+			EventsSkipped:   ps.EventsSkipped,
+			BytesSkipped:    ps.BytesSkipped,
 			GoMaxProcs:      procs,
 		}
-		if ps := set.LastPass(); ps.Staged {
+		if ps.Staged {
 			rec.Engine = "flux-mqe-parallel"
 			rec.Parallel = ps.Parallel
 			rec.Steals = ps.Steals
@@ -490,8 +492,10 @@ func sharedStreamRecords(r *runner) ([]record, error) {
 			}
 			regs[i] = reg
 		}
-		bestShared, sharedAllocs, sharedDurs, err := measureAllocs(r.reps, func() error {
-			return set.Run(bytes.NewReader(doc))
+		var res fluxquery.PassResult
+		bestShared, sharedAllocs, sharedDurs, err := measureAllocs(r.reps, func() (err error) {
+			res, err = set.RunPass(nil, bytes.NewReader(doc), fluxquery.PassOptions{})
+			return err
 		})
 		if err != nil {
 			return nil, err
@@ -509,7 +513,7 @@ func sharedStreamRecords(r *runner) ([]record, error) {
 			}
 			sharedOut += st.OutputBytes
 		}
-		sc := set.LastScan()
+		sc := res.Record
 		sharedRecords = append(sharedRecords, withRollupQuantiles(record{
 			Suite: "shared-stream", Query: "xmark-mix", Engine: "flux-mqe",
 			Plans: nPlans, DocBytes: len(doc),

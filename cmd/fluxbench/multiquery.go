@@ -101,8 +101,10 @@ func multiQueryRecords(r *runner) ([]record, error) {
 		if err := set.Run(bytes.NewReader(doc)); err != nil {
 			return record{}, err
 		}
-		best, allocs, durs, err := measureAllocs(r.reps, func() error {
-			return set.Run(bytes.NewReader(doc))
+		var res fluxquery.PassResult
+		best, allocs, durs, err := measureAllocs(r.reps, func() (err error) {
+			res, err = set.RunPass(nil, bytes.NewReader(doc), fluxquery.PassOptions{})
+			return err
 		})
 		if err != nil {
 			return record{}, err
@@ -122,7 +124,7 @@ func multiQueryRecords(r *runner) ([]record, error) {
 		if mode == fluxquery.DispatchTrie {
 			engine = "flux-trie"
 		}
-		ds := set.LastDispatch()
+		ds := res.Record
 		rec := record{
 			Suite: "multiquery", Query: fmt.Sprintf("catalog-%dpaths", mqGroups),
 			Engine: engine, Plans: n, DocBytes: len(doc),
@@ -131,7 +133,7 @@ func multiQueryRecords(r *runner) ([]record, error) {
 			Proj:              "fast",
 			MarginalNsPerPlan: best.Nanoseconds() / int64(n),
 			TrieNodes:         ds.TrieNodes,
-			TrieDeliveries:    ds.Deliveries,
+			TrieDeliveries:    ds.TrieDeliveries,
 		}
 		return withQuantiles(rec, durs), nil
 	}

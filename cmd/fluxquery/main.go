@@ -256,7 +256,6 @@ func run(o options) error {
 	// separated by a comment naming the query.
 	set := fluxquery.NewStreamSet(d)
 	set.SetProjection(projection)
-	set.SetTracing(o.trace, "cli")
 	outs := make([]*bytes.Buffer, len(plans))
 	regs := make([]*fluxquery.StreamQuery, len(plans))
 	for i, p := range plans {
@@ -267,16 +266,18 @@ func run(o options) error {
 		}
 	}
 	start := time.Now()
-	if err := set.Run(in); err != nil {
+	res, err := set.RunPass(nil, in, fluxquery.PassOptions{RequestID: "cli", Trace: o.trace})
+	if err != nil {
 		return err
 	}
 	elapsed := time.Since(start)
 	if o.trace {
-		set.LastTrace().WriteTree(os.Stderr)
+		res.Record.Trace.WriteTree(os.Stderr)
 	}
 	var firstErr error
 	for i := range plans {
-		st, qerr := regs[i].Stats()
+		qr, _ := res.Query(regs[i])
+		st, qerr := qr.Stats, qr.Err
 		if qerr != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("%s: %w", queries[i].name, qerr)
@@ -294,10 +295,10 @@ func run(o options) error {
 		}
 	}
 	if o.stats {
-		sc := set.LastScan()
-		fmt.Fprintf(os.Stderr, "shared-pass proj=%s passes=%d scan-delivered=%d scan-skipped=%d scan-subtrees=%d scan-bytes-skipped=%d\n",
-			o.projMode, sc.Passes, sc.EventsDelivered, sc.EventsSkipped, sc.SubtreesSkipped, sc.BytesSkipped)
-		if ps := set.LastPass(); ps.Staged {
+		ps := res.Record
+		fmt.Fprintf(os.Stderr, "shared-pass proj=%s passes=1 scan-delivered=%d scan-skipped=%d scan-subtrees=%d scan-bytes-skipped=%d\n",
+			o.projMode, ps.EventsDelivered, ps.EventsSkipped, ps.SubtreesSkipped, ps.BytesSkipped)
+		if ps.Staged {
 			fmt.Fprintf(os.Stderr, "shared-pass parallel=%d batches=%d steals=%d tok-stall=%v val-stall=%v disp-stall=%v ring-peak=%d/%d\n",
 				ps.Parallel, ps.Batches, ps.Steals,
 				ps.TokenizeStall.Round(time.Microsecond), ps.ValidateStall.Round(time.Microsecond),

@@ -1,7 +1,13 @@
 // Command fluxserve is a continuous-query server over the shared-stream
 // multi-query engine: clients register compiled XQuery plans once, then
 // POST XML documents; every registered query is evaluated over each
-// document in a single tokenize+validate pass (fluxquery.StreamSet).
+// document in a single tokenize+validate pass. The server holds one
+// fluxquery.StreamSet for its lifetime: a PUT registers into it, and
+// each /eval is one RunPass on it with a fresh output buffer per query,
+// so concurrent /evals share it. A query deleted or replaced while a
+// pass is in flight leaves that pass at its next batch boundary and is
+// omitted from that reply (no error entry, no error in the ledger or
+// /stats).
 //
 // Usage:
 //
@@ -18,7 +24,7 @@
 //	GET    /queries/{name}       show one query
 //	DELETE /queries/{name}       unregister a query
 //	POST   /eval                 evaluate all queries over the posted XML
-//	POST   /eval?q=a&q=b         evaluate a subset
+//	POST   /eval?q=a&q=b         evaluate a subset (each name once)
 //	POST   /eval?trace=1         additionally return the pass's span tree
 //	GET    /stats                per-query and aggregate buffer/spill metrics
 //	GET    /metrics              Prometheus text exposition of all series
@@ -66,9 +72,11 @@
 //     failing query never disturbs the others or the stream).
 //
 // With -proj fast (the default), stream regions outside every selected
-// query's path-set are checked for tag balance but not validated against
-// the DTD; -proj validate keeps full validation while still pruning
-// delivery, and -proj off disables projection.
+// query's path-set are bulk-skipped: their tags are depth-counted and
+// only the region's outer end tag is matched by name, so neither
+// interior tag names nor the DTD are checked there; -proj validate keeps
+// full validation while still pruning delivery, and -proj off disables
+// projection.
 //
 // With -budget, one process-wide buffer manager governs the runtime
 // buffers of every concurrent /eval pass. -budget-policy selects the

@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"fluxquery"
@@ -51,6 +53,22 @@ func do(t *testing.T, method, url, body string) (int, string) {
 		t.Fatal(err)
 	}
 	return resp.StatusCode, string(b)
+}
+
+// send is do for goroutines other than the test's own: it reports
+// transport failures instead of failing the test.
+func send(method, url, body string) (int, string, error) {
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		return 0, "", err
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return 0, "", err
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	return resp.StatusCode, string(b), err
 }
 
 func testDoc(books int) string {
@@ -161,6 +179,22 @@ func TestEvalSubsetAndErrors(t *testing.T) {
 	}
 	if len(resp.Results) != 1 || resp.Results[0].Query != "titles" {
 		t.Fatalf("subset results = %+v", resp.Results)
+	}
+
+	// A repeated name is evaluated once: one result, one ledger pass.
+	code, body = do(t, "POST", ts.URL+"/eval?q=titles&q=titles", testDoc(2))
+	if code != 200 {
+		t.Fatalf("eval repeated name: %d %s", code, body)
+	}
+	resp = evalResponse{}
+	if err := json.Unmarshal([]byte(body), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Results) != 1 || resp.Results[0].Query != "titles" {
+		t.Fatalf("repeated-name results = %+v", resp.Results)
+	}
+	if qs, _ := srv.ledger.Get("titles"); qs.Passes != 2 {
+		t.Errorf("titles ledger passes = %d after two evals, want 2", qs.Passes)
 	}
 
 	if code, _ := do(t, "POST", ts.URL+"/eval?q=nosuch", testDoc(1)); code != 404 {
@@ -511,5 +545,128 @@ func TestErrorCodeTaxonomy(t *testing.T) {
 			t.Errorf("%s %s: got %d %s, want %d with code %s",
 				tc.method, tc.path, status, body, tc.status, tc.code)
 		}
+	}
+}
+
+// TestConcurrentEvalsWithChurn: concurrent /evals share the server's one
+// set while a third name is PUT (alternating between two queries) and
+// DELETEd. The stable queries are always present and correct; the
+// churned name is absent or carries one of its two versions' output;
+// no reply carries an error entry, and /stats counts no errors.
+func TestConcurrentEvalsWithChurn(t *testing.T) {
+	withProcs(t, 2)
+	srv, ts := newTestServer(t)
+	if err := srv.register("q3", testQ3); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.register("titles", testQT); err != nil {
+		t.Fatal(err)
+	}
+	// Large enough for many event batches, so unregistrations land
+	// mid-pass.
+	doc := testDoc(1000)
+	ref := map[string]string{}
+	for _, q := range []string{testQ3, testQT} {
+		out, _, err := fluxquery.MustCompile(q, testDTD, fluxquery.Options{}).ExecuteString(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref[q] = out
+	}
+
+	const evalWorkers, rounds = 4, 10
+	var churned atomic.Int64
+	var wg sync.WaitGroup
+	errs := make(chan error, evalWorkers*rounds+rounds)
+	stop := make(chan struct{})
+	var churnWG sync.WaitGroup
+	churnWG.Add(1)
+	go func() {
+		defer churnWG.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			src := []string{testQT, testQ3}[i%2]
+			if code, body, err := send("PUT", ts.URL+"/queries/churn", src); err != nil || code != 200 {
+				errs <- fmt.Errorf("PUT churn: %d %s %v", code, body, err)
+				return
+			}
+			if i%3 == 2 {
+				if code, body, err := send("DELETE", ts.URL+"/queries/churn", ""); err != nil || code != 200 {
+					errs <- fmt.Errorf("DELETE churn: %d %s %v", code, body, err)
+					return
+				}
+			}
+		}
+	}()
+	for w := 0; w < evalWorkers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				code, body, err := send("POST", ts.URL+"/eval", doc)
+				if err != nil || code != 200 {
+					errs <- fmt.Errorf("eval: %d %s %v", code, body, err)
+					return
+				}
+				var resp evalResponse
+				if err := json.Unmarshal([]byte(body), &resp); err != nil {
+					errs <- err
+					return
+				}
+				stable := 0
+				for _, r := range resp.Results {
+					if r.Error != "" || r.Code != 0 {
+						errs <- fmt.Errorf("%s: error entry %q (code %d)", r.Query, r.Error, r.Code)
+						continue
+					}
+					switch r.Query {
+					case "q3", "titles":
+						stable++
+						if want := map[string]string{"q3": ref[testQ3], "titles": ref[testQT]}[r.Query]; r.Output != want {
+							errs <- fmt.Errorf("%s: output differs from its own Execute", r.Query)
+						}
+					case "churn":
+						churned.Add(1)
+						if r.Output != ref[testQ3] && r.Output != ref[testQT] {
+							errs <- fmt.Errorf("churn: output matches neither version: %.120s", r.Output)
+						}
+					default:
+						errs <- fmt.Errorf("unknown query %q in reply", r.Query)
+					}
+				}
+				if stable != 2 {
+					errs <- fmt.Errorf("reply carries %d of the 2 stable queries", stable)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	churnWG.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	t.Logf("%d of %d replies carried the churned name", churned.Load(), evalWorkers*rounds)
+
+	_, body := do(t, "GET", ts.URL+"/stats", "")
+	var stats statsResponse
+	if err := json.Unmarshal([]byte(body), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Evals != evalWorkers*rounds {
+		t.Errorf("evals = %d, want %d", stats.Evals, evalWorkers*rounds)
+	}
+	for name, a := range stats.Queries {
+		if a.Errors != 0 {
+			t.Errorf("%s: /stats errors = %d, want 0", name, a.Errors)
+		}
+	}
+	if a := stats.Queries["q3"]; a == nil || a.Evals != evalWorkers*rounds {
+		t.Errorf("q3 aggregate = %+v, want %d evals", a, evalWorkers*rounds)
 	}
 }

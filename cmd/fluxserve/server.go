@@ -32,22 +32,22 @@ const (
 	stateDraining
 )
 
-// server holds the compiled-query registry. Plans are compiled once at
-// registration; each /eval assembles a StreamSet from the selected plans
-// and evaluates the posted document in one shared pass. One process-wide
+// server holds the compiled-query registry: one StreamSet for the
+// process's lifetime. A PUT compiles its query once and registers it in
+// the set; each /eval runs the selected queries over the posted document
+// in one shared pass on that set, with a fresh output buffer per query,
+// so concurrent /evals share the set (its projection union and dispatch
+// trie are rebuilt only after registration changes). One process-wide
 // BufferManager (when -budget is set) governs the buffer memory of every
 // concurrent pass.
 type server struct {
 	d       *fluxquery.DTD
+	set     *fluxquery.StreamSet
 	maxBody int64
 	proj    fluxquery.Projection
 	bufs    *fluxquery.BufferManager
 	policy  fluxquery.BufferPolicy
 	budget  int64
-	// dispatch selects each pass's fan-out strategy: fanout (every batch
-	// to every query) or trie (events routed through the shared dispatch
-	// trie, per-query delivery).
-	dispatch fluxquery.Dispatch
 	// pool bounds the number of concurrently streaming /eval passes: a
 	// request that cannot claim a slot without blocking is rejected with
 	// a structured 503 rather than queued, so saturation is visible to
@@ -103,11 +103,10 @@ type server struct {
 	mHTTPReqs *telemetry.Counter
 	mHTTPSecs *telemetry.Histogram
 
+	// queries maps each registered name to its source and its
+	// registration in set.
 	mu      sync.RWMutex
 	queries map[string]*entry
-	// agg accumulates per-query scan/buffer/spill statistics across
-	// /eval calls for GET /stats.
-	agg map[string]*queryAgg
 	// evals counts completed /eval passes; rejected counts structured
 	// 503 pool rejections.
 	evals    int64
@@ -143,12 +142,11 @@ type pipelineAgg struct {
 }
 
 type entry struct {
-	name string
-	src  string
-	plan *fluxquery.Plan
+	src string
+	q   *fluxquery.StreamQuery
 }
 
-// queryAgg is the cumulative record of one registered query.
+// queryAgg is the GET /stats view of one query name's ledger entry.
 type queryAgg struct {
 	Evals               int64 `json:"evals"`
 	Errors              int64 `json:"errors"`
@@ -170,7 +168,7 @@ func newServer(dtdSrc string, maxBody int64, proj fluxquery.Projection, budget i
 	s := &server{
 		d: d, maxBody: maxBody, proj: proj,
 		budget: budget, policy: policy,
-		queries: map[string]*entry{}, agg: map[string]*queryAgg{},
+		queries: map[string]*entry{},
 		ledger:  fluxquery.NewQueryLedger(),
 		started: time.Now(),
 		build:   readBuildMeta(),
@@ -180,6 +178,11 @@ func newServer(dtdSrc string, maxBody int64, proj fluxquery.Projection, budget i
 		s.bufs = fluxquery.NewBufferManager(budget, policy, spillDir)
 	}
 	s.tel = fluxquery.NewTelemetry()
+	s.set = fluxquery.NewStreamSet(d)
+	s.set.SetProjection(proj)
+	s.set.SetBuffers(s.bufs)
+	s.set.SetTelemetry(s.tel)
+	s.set.SetLedger(s.ledger)
 	s.log = slog.Default()
 	s.idBase = fmt.Sprintf("%x", time.Now().UnixNano()&0xffffff)
 	reg := s.tel.Registry()
@@ -252,6 +255,7 @@ func (s *server) setFlightRecorder(size int, slowPass, slowStall time.Duration) 
 		SlowStall:   slowStall,
 		Logger:      s.log,
 	})
+	s.set.SetRecorder(s.rec)
 }
 
 // setEvalTimeout bounds each /eval pass's wall time (0 = unbounded).
@@ -298,8 +302,10 @@ func (s *server) drain(timeout time.Duration) bool {
 	return clean
 }
 
-// setDispatch selects the fan-out strategy of /eval's shared passes.
-func (s *server) setDispatch(d fluxquery.Dispatch) { s.dispatch = d }
+// setDispatch selects the fan-out strategy of /eval's shared passes:
+// fanout (every batch to every query) or trie (events routed through
+// the shared dispatch trie, per-query delivery).
+func (s *server) setDispatch(d fluxquery.Dispatch) { s.set.SetDispatch(d) }
 
 // setPool bounds the in-flight /eval passes to n (0 = unbounded). Must
 // be called before the server starts handling requests.
@@ -313,21 +319,40 @@ func (s *server) setPool(n int) {
 
 func (s *server) root() string { return s.d.Root() }
 
+// errSetRegister marks a registration the shared set refused (a
+// server-side fault: every plan is compiled against the set's own DTD).
+var errSetRegister = errors.New("registering with the shared set")
+
+// register compiles src and registers it in the shared set under name.
+// A name already registered is replaced: the new query rides every pass
+// that starts after register returns, and the old one is unregistered —
+// a pass it is riding drops it at the next batch boundary.
 func (s *server) register(name, src string) error {
 	if name == "" {
 		return fmt.Errorf("empty query name")
 	}
-	q, err := fluxquery.ParseQuery(src)
+	pq, err := fluxquery.ParseQuery(src)
 	if err != nil {
 		return err
 	}
-	p, err := fluxquery.Compile(q, s.d, fluxquery.Options{})
+	p, err := fluxquery.Compile(pq, s.d, fluxquery.Options{})
 	if err != nil {
 		return err
+	}
+	// The registration name labels the plan's eval-latency series and
+	// trace span, so metrics line up with /queries names. Every /eval
+	// supplies the query's writer, so none is bound here.
+	q, err := s.set.RegisterNamed(p, nil, name)
+	if err != nil {
+		return fmt.Errorf("%w: %v", errSetRegister, err)
 	}
 	s.mu.Lock()
-	s.queries[name] = &entry{name: name, src: src, plan: p}
+	old := s.queries[name]
+	s.queries[name] = &entry{src: src, q: q}
 	s.mu.Unlock()
+	if old != nil {
+		old.q.Unregister()
+	}
 	return nil
 }
 
@@ -430,7 +455,7 @@ const (
 	codeInvalidQuery  = "INVALID_QUERY"    // 422: query text does not compile
 	codeInvalidDoc    = "INVALID_DOCUMENT" // 422: document malformed or DTD-invalid
 	codeBadRequest    = "BAD_REQUEST"      // 400: unreadable request
-	codeInternal      = "INTERNAL"         // 500: server-side registration failure
+	codeInternal      = "INTERNAL"         // 500: the shared set refused a compiled query
 	codeTimeout       = "TIMEOUT"          // 504: pass exceeded -eval-timeout
 	codeClientGone    = "CLIENT_GONE"      // 499: client disconnected mid-pass
 	codeDraining      = "DRAINING"         // 503: server is shutting down, intake closed
@@ -492,8 +517,8 @@ type queryInfo struct {
 func (s *server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	out := make([]queryInfo, 0, len(s.queries))
-	for _, e := range s.queries {
-		out = append(out, queryInfo{Name: e.name, Query: e.src})
+	for name, e := range s.queries {
+		out = append(out, queryInfo{Name: name, Query: e.src})
 	}
 	s.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
@@ -513,6 +538,10 @@ func (s *server) handlePut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.register(name, string(src)); err != nil {
+		if errors.Is(err, errSetRegister) {
+			writeErr(w, http.StatusInternalServerError, codeInternal, "query %q: %v", name, err)
+			return
+		}
 		writeErr(w, http.StatusUnprocessableEntity, codeInvalidQuery, "compiling query %q: %v", name, err)
 		return
 	}
@@ -528,19 +557,20 @@ func (s *server) handleGet(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, codeQueryNotFound, "no query %q", name)
 		return
 	}
-	writeJSON(w, http.StatusOK, queryInfo{Name: e.name, Query: e.src})
+	writeJSON(w, http.StatusOK, queryInfo{Name: name, Query: e.src})
 }
 
 func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	s.mu.Lock()
-	_, ok := s.queries[name]
+	e, ok := s.queries[name]
 	delete(s.queries, name)
 	s.mu.Unlock()
 	if !ok {
 		writeErr(w, http.StatusNotFound, codeQueryNotFound, "no query %q", name)
 		return
 	}
+	e.q.Unregister()
 	writeJSON(w, http.StatusOK, map[string]string{"deleted": name})
 }
 
@@ -681,14 +711,20 @@ func (s *server) handleEval(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	// Each selected name is evaluated once, however often ?q= names it.
+	type selection struct {
+		name string
+		q    *fluxquery.StreamQuery
+	}
 	names := r.URL.Query()["q"]
+	var selected []selection
 	s.mu.RLock()
-	var selected []*entry
 	if len(names) == 0 {
-		for _, e := range s.queries {
-			selected = append(selected, e)
+		for name, e := range s.queries {
+			selected = append(selected, selection{name, e.q})
 		}
 	} else {
+		seen := make(map[string]bool, len(names))
 		for _, name := range names {
 			e, ok := s.queries[name]
 			if !ok {
@@ -696,42 +732,18 @@ func (s *server) handleEval(w http.ResponseWriter, r *http.Request) {
 				writeErr(w, http.StatusNotFound, codeQueryNotFound, "no query %q", name)
 				return
 			}
-			selected = append(selected, e)
+			if !seen[name] {
+				seen[name] = true
+				selected = append(selected, selection{name, e.q})
+			}
 		}
 	}
 	s.mu.RUnlock()
 	sort.Slice(selected, func(i, j int) bool { return selected[i].name < selected[j].name })
-
-	set := fluxquery.NewStreamSet(s.d)
-	set.SetProjection(s.proj)
-	set.SetBuffers(s.bufs)
-	set.SetDispatch(s.dispatch)
-	set.SetTelemetry(s.tel)
-	// The recorder and ledger are process-wide; the per-request set is
-	// just this pass's route into them. The request id rides along so a
-	// slow-pass dump joins back to the access-log line.
-	set.SetRecorder(s.rec)
-	set.SetLedger(s.ledger)
-	reqID, _ := r.Context().Value(ctxReqID).(string)
-	set.SetRequestID(reqID)
-	traced := false
-	switch r.URL.Query().Get("trace") {
-	case "1", "true":
-		traced = true
-		set.SetTracing(true, reqID)
-	}
-	outs := make([]*bytes.Buffer, len(selected))
-	regs := make([]*fluxquery.StreamQuery, len(selected))
-	for i, e := range selected {
-		outs[i] = &bytes.Buffer{}
-		// The registration name labels the plan's eval-latency series
-		// and trace span, so metrics line up with /queries names.
-		reg, err := set.RegisterNamed(e.plan, outs[i], e.name)
-		if err != nil {
-			writeErr(w, http.StatusInternalServerError, codeInternal, "registering %q: %v", e.name, err)
-			return
-		}
-		regs[i] = reg
+	outs := make([]bytes.Buffer, len(selected))
+	sinks := make(map[*fluxquery.StreamQuery]io.Writer, len(selected))
+	for i, sel := range selected {
+		sinks[sel.q] = &outs[i]
 	}
 
 	// The pass context merges three termination sources: the client's
@@ -760,8 +772,17 @@ func (s *server) handleEval(w http.ResponseWriter, r *http.Request) {
 		R:    http.MaxBytesReader(w, r.Body, s.maxBody),
 	})
 
+	// The request id labels the pass's flight record, so a slow-pass
+	// dump joins back to the access-log line, and tags its trace.
+	reqID, _ := r.Context().Value(ctxReqID).(string)
+	opts := fluxquery.PassOptions{Sinks: sinks, RequestID: reqID}
+	switch r.URL.Query().Get("trace") {
+	case "1", "true":
+		opts.Trace = true
+	}
 	start := time.Now()
-	if err := set.RunContext(ctx, body); err != nil {
+	res, err := s.set.RunPass(ctx, body, opts)
+	if err != nil {
 		// MaxBytesReader makes an oversized body a read error at the
 		// limit, so a too-large document cannot be silently truncated
 		// into a (possibly valid) prefix.
@@ -774,50 +795,53 @@ func (s *server) handleEval(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, status, code, "document rejected: %v", err)
 		return
 	}
-	resp := evalResponse{DurationMicros: time.Since(start).Microseconds()}
-	if traced {
-		resp.Trace = set.LastTrace()
-	}
-	if ps := set.LastPass(); ps.Staged {
+	pr := res.Record
+	resp := evalResponse{DurationMicros: time.Since(start).Microseconds(), Trace: pr.Trace}
+	if pr.Staged {
 		resp.Pipeline = &passInfo{
-			Parallel:            ps.Parallel,
-			Batches:             ps.Batches,
-			Steals:              ps.Steals,
-			TokenizeStallMicros: ps.TokenizeStall.Microseconds(),
-			ValidateStallMicros: ps.ValidateStall.Microseconds(),
-			DispatchStallMicros: ps.DispatchStall.Microseconds(),
-			TokenRingPeak:       ps.TokenRingPeak,
-			EventRingPeak:       ps.EventRingPeak,
+			Parallel:            pr.Parallel,
+			Batches:             pr.Batches,
+			Steals:              pr.Steals,
+			TokenizeStallMicros: pr.TokenizeStall.Microseconds(),
+			ValidateStallMicros: pr.ValidateStall.Microseconds(),
+			DispatchStallMicros: pr.DispatchStall.Microseconds(),
+			TokenRingPeak:       pr.TokenRingPeak,
+			EventRingPeak:       pr.EventRingPeak,
 		}
 	}
-	if ds := set.LastDispatch(); ds.Mode == "trie" {
+	if pr.Dispatch == "trie" {
 		resp.Dispatch = &dispatchInfo{
-			Mode:        ds.Mode,
-			Plans:       ds.Plans,
-			TrieNodes:   ds.TrieNodes,
-			TrieLists:   ds.TrieLists,
-			MaxFanout:   ds.MaxFanout,
-			Events:      ds.Events,
-			Deliveries:  ds.Deliveries,
-			Flushes:     ds.Flushes,
-			BuildMicros: ds.BuildNanos / 1000,
+			Mode:        pr.Dispatch,
+			Plans:       pr.Plans,
+			TrieNodes:   pr.TrieNodes,
+			TrieLists:   pr.TrieLists,
+			MaxFanout:   pr.TrieMaxFanout,
+			Events:      pr.TrieEvents,
+			Deliveries:  pr.TrieDeliveries,
+			Flushes:     pr.TrieFlushes,
+			BuildMicros: pr.TrieBuild.Microseconds(),
 		}
 	}
-	sc := set.LastScan()
 	resp.Scan = scanStats{
-		Passes:          sc.Passes,
+		Passes:          1,
 		Projection:      s.proj.String(),
-		EventsDelivered: sc.EventsDelivered,
-		EventsSkipped:   sc.EventsSkipped,
-		SubtreesSkipped: sc.SubtreesSkipped,
-		BytesSkipped:    sc.BytesSkipped,
-		InputBytes:      sc.InputBytes,
-		StallMicros:     sc.Stall.Microseconds(),
+		EventsDelivered: pr.EventsDelivered,
+		EventsSkipped:   pr.EventsSkipped,
+		SubtreesSkipped: pr.SubtreesSkipped,
+		BytesSkipped:    pr.BytesSkipped,
+		InputBytes:      pr.InputBytes,
+		StallMicros:     pr.GateStall.Microseconds(),
 	}
-	for i, e := range selected {
-		st, err := regs[i].Stats()
-		res := evalResult{
-			Query:  e.name,
+	for i, sel := range selected {
+		qr, ok := res.Query(sel.q)
+		// A query deleted or replaced before or during the pass left it:
+		// the reply omits it rather than reporting an error.
+		if !ok || errors.Is(qr.Err, fluxquery.ErrUnregistered) {
+			continue
+		}
+		st := qr.Stats
+		er := evalResult{
+			Query:  sel.name,
 			Output: outs[i].String(),
 			Stats: evalStats{
 				Events:              st.Events,
@@ -832,77 +856,43 @@ func (s *server) handleEval(w http.ResponseWriter, r *http.Request) {
 				StallMicros:         st.BudgetStall.Microseconds(),
 			},
 		}
-		if err != nil {
-			res.Error = err.Error()
-			res.Output = ""
-			res.Code = http.StatusUnprocessableEntity
-			if errors.Is(err, fluxquery.ErrBudgetExceeded) {
-				res.Code = http.StatusRequestEntityTooLarge
+		if qr.Err != nil {
+			er.Error = qr.Err.Error()
+			er.Output = ""
+			er.Code = http.StatusUnprocessableEntity
+			if errors.Is(qr.Err, fluxquery.ErrBudgetExceeded) {
+				er.Code = http.StatusRequestEntityTooLarge
 			}
 		}
-		s.record(e.name, st, err)
-		resp.Results = append(resp.Results, res)
+		resp.Results = append(resp.Results, er)
 	}
 	s.mu.Lock()
 	s.evals++
-	if ps := set.LastPass(); ps.Staged {
+	if pr.Staged {
 		s.pipeline.Passes++
-		s.pipeline.Batches += ps.Batches
-		s.pipeline.Steals += ps.Steals
-		s.pipeline.TokenizeStallMicros += ps.TokenizeStall.Microseconds()
-		s.pipeline.ValidateStallMicros += ps.ValidateStall.Microseconds()
-		s.pipeline.DispatchStallMicros += ps.DispatchStall.Microseconds()
-		if ps.TokenRingPeak > s.pipeline.TokenRingPeak {
-			s.pipeline.TokenRingPeak = ps.TokenRingPeak
-		}
-		if ps.EventRingPeak > s.pipeline.EventRingPeak {
-			s.pipeline.EventRingPeak = ps.EventRingPeak
-		}
+		s.pipeline.Batches += pr.Batches
+		s.pipeline.Steals += pr.Steals
+		s.pipeline.TokenizeStallMicros += pr.TokenizeStall.Microseconds()
+		s.pipeline.ValidateStallMicros += pr.ValidateStall.Microseconds()
+		s.pipeline.DispatchStallMicros += pr.DispatchStall.Microseconds()
+		s.pipeline.TokenRingPeak = max(s.pipeline.TokenRingPeak, pr.TokenRingPeak)
+		s.pipeline.EventRingPeak = max(s.pipeline.EventRingPeak, pr.EventRingPeak)
 	}
-	if ds := set.LastDispatch(); ds.Mode == "trie" {
+	if pr.Dispatch == "trie" {
 		s.dispatchStats.Passes++
-		s.dispatchStats.Events += ds.Events
-		s.dispatchStats.Deliveries += ds.Deliveries
-		s.dispatchStats.Flushes += ds.Flushes
-		s.dispatchStats.TrieNodes = ds.TrieNodes
-		s.dispatchStats.MaxFanout = ds.MaxFanout
+		s.dispatchStats.Events += pr.TrieEvents
+		s.dispatchStats.Deliveries += pr.TrieDeliveries
+		s.dispatchStats.Flushes += pr.TrieFlushes
+		s.dispatchStats.TrieNodes = pr.TrieNodes
+		s.dispatchStats.MaxFanout = pr.TrieMaxFanout
 	}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// record folds one query's pass outcome into the /stats aggregates.
-func (s *server) record(name string, st fluxquery.Stats, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	a := s.agg[name]
-	if a == nil {
-		a = &queryAgg{}
-		s.agg[name] = a
-	}
-	a.Evals++
-	if err != nil {
-		a.Errors++
-		if errors.Is(err, fluxquery.ErrBudgetExceeded) {
-			a.BudgetRejections++
-		}
-	}
-	a.Events += st.Events
-	a.OutputBytes += st.OutputBytes
-	if st.PeakBufferBytes > a.PeakBufferBytes {
-		a.PeakBufferBytes = st.PeakBufferBytes
-	}
-	if st.PeakHeapBufferBytes > a.PeakHeapBufferBytes {
-		a.PeakHeapBufferBytes = st.PeakHeapBufferBytes
-	}
-	a.SpilledBytes += st.SpilledBytes
-	a.RehydratedBytes += st.RehydratedBytes
-	a.StallMicros += st.BudgetStall.Microseconds()
-}
-
 // statsResponse is the GET /stats document: per-query cumulative
-// scan/buffer/spill aggregates plus the process-wide buffer-manager
-// snapshot.
+// scan/buffer/spill aggregates (read from the cost ledger) plus the
+// process-wide buffer-manager snapshot.
 type statsResponse struct {
 	// State is the lifecycle state: "serving", or "draining" once a
 	// shutdown signal closed intake.
@@ -947,11 +937,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Build:         s.build,
 		UptimeSeconds: int64(time.Since(s.started).Seconds()),
 		Evals:         s.evals,
-		Queries:       make(map[string]*queryAgg, len(s.agg)),
-	}
-	for name, a := range s.agg {
-		cp := *a
-		resp.Queries[name] = &cp
 	}
 	if s.pool != nil {
 		resp.Pool = &poolStats{Capacity: cap(s.pool), InFlight: len(s.pool), Rejected: s.rejected}
@@ -965,6 +950,22 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.Dispatch = &cp
 	}
 	s.mu.RUnlock()
+	ledger := s.ledger.Stats()
+	resp.Queries = make(map[string]*queryAgg, len(ledger))
+	for _, qs := range ledger {
+		resp.Queries[qs.Name] = &queryAgg{
+			Evals:               qs.Passes,
+			Errors:              qs.Errors,
+			BudgetRejections:    qs.BudgetRejections,
+			Events:              qs.Events,
+			OutputBytes:         qs.OutputBytes,
+			PeakBufferBytes:     qs.PeakBufferBytes,
+			PeakHeapBufferBytes: qs.PeakHeapBufferBytes,
+			SpilledBytes:        qs.SpilledBytes,
+			RehydratedBytes:     qs.RehydratedBytes,
+			StallMicros:         qs.BudgetStall.Microseconds(),
+		}
+	}
 	if s.bufs != nil {
 		mt := s.bufs.Metrics()
 		resp.Buffers = &bufferStats{BufferMetrics: mt, StallMicros: mt.Stall.Microseconds()}

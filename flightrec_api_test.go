@@ -35,7 +35,6 @@ func TestFlightRecorderDifferential(t *testing.T) {
 			})
 			set.SetRecorder(rec)
 			set.SetLedger(NewQueryLedger())
-			set.SetRequestID("diff")
 		}
 		outs := make([]*bytes.Buffer, len(queries))
 		for i, q := range queries {
@@ -46,7 +45,7 @@ func TestFlightRecorderDifferential(t *testing.T) {
 			}
 		}
 		for pass := 0; pass < 2; pass++ {
-			if err := set.Run(strings.NewReader(doc)); err != nil {
+			if _, err := set.RunPass(nil, strings.NewReader(doc), PassOptions{RequestID: "diff"}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -93,7 +92,6 @@ func TestStreamSetRecorderAndLedger(t *testing.T) {
 	set := NewStreamSet(d)
 	set.SetRecorder(rec)
 	set.SetLedger(led)
-	set.SetRequestID("api-req")
 	if set.Recorder() != rec || set.Ledger() != led {
 		t.Fatal("getters did not return the installed handles")
 	}
@@ -105,7 +103,7 @@ func TestStreamSetRecorderAndLedger(t *testing.T) {
 	}
 	doc := telemetryDoc(100)
 	for i := 0; i < 3; i++ {
-		if err := set.Run(strings.NewReader(doc)); err != nil {
+		if _, err := set.RunPass(nil, strings.NewReader(doc), PassOptions{RequestID: "api-req"}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -61,12 +61,22 @@ type Record struct {
 	Parallel   int    `json:"parallel,omitempty"`
 	Plans      int    `json:"plans"`
 
-	// InputBytes, Events and Batches are the pass's data-flow totals;
+	// InputBytes, Events and Batches are the pass's data-flow totals:
+	// raw bytes read, events fanned out (or routed, under trie dispatch)
+	// to the riding plans, and validated batches drawn from the scan.
 	// MBps is InputBytes over Duration.
 	InputBytes int64   `json:"input_bytes"`
 	Events     int64   `json:"events"`
 	Batches    int64   `json:"batches"`
 	MBps       float64 `json:"mbps"`
+
+	// The scan's projection counters: events delivered past the union
+	// skip automaton vs pruned before any plan, pruned subtrees, and raw
+	// bytes the tokenizer bulk-skipped (fast projection only).
+	EventsDelivered int64 `json:"events_delivered,omitempty"`
+	EventsSkipped   int64 `json:"events_skipped,omitempty"`
+	SubtreesSkipped int64 `json:"subtrees_skipped,omitempty"`
+	BytesSkipped    int64 `json:"bytes_skipped,omitempty"`
 
 	// Per-stage stall breakdown: the pipeline stages blocked on their
 	// rings (zero for inline passes) and the buffer-manager gate.
@@ -80,10 +90,19 @@ type Record struct {
 	EventRingPeak int   `json:"event_ring_peak,omitempty"`
 	Steals        int64 `json:"steals,omitempty"`
 
-	// TrieEvents and TrieDeliveries are the dispatch trie's routing
-	// totals (zero under plain fanout).
-	TrieEvents     int64 `json:"trie_events,omitempty"`
-	TrieDeliveries int64 `json:"trie_deliveries,omitempty"`
+	// TrieEvents, TrieDeliveries and TrieFlushes are the dispatch
+	// trie's routing totals: events routed, per-plan deliveries and
+	// per-plan batch flushes (zero under plain fanout). TrieNodes,
+	// TrieLists and TrieMaxFanout describe the trie snapshot the pass
+	// rode; TrieBuild is the time spent building it (paid by the first
+	// pass after a registration change, or by every subset pass).
+	TrieEvents     int64         `json:"trie_events,omitempty"`
+	TrieDeliveries int64         `json:"trie_deliveries,omitempty"`
+	TrieFlushes    int64         `json:"trie_flushes,omitempty"`
+	TrieNodes      int           `json:"trie_nodes,omitempty"`
+	TrieLists      int           `json:"trie_lists,omitempty"`
+	TrieMaxFanout  int           `json:"trie_max_fanout,omitempty"`
+	TrieBuild      time.Duration `json:"trie_build_ns,omitempty"`
 
 	// BufferPeak is the largest per-plan heap buffer high-water of the
 	// pass; SpilledBytes and RehydratedBytes sum the plans' spill

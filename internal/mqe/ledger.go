@@ -1,11 +1,13 @@
 package mqe
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
 	"time"
 
+	"fluxquery/internal/bufmgr"
 	"fluxquery/internal/runtime"
 )
 
@@ -19,11 +21,14 @@ type QueryStats struct {
 	// Name is the registration name the entry aggregates over.
 	Name string `json:"name"`
 	// Passes counts shared passes the query rode; Errors counts the
-	// subset that ended with a per-query error, and LastError carries
-	// the most recent one ("" while error-free).
-	Passes    int64  `json:"passes"`
-	Errors    int64  `json:"errors"`
-	LastError string `json:"last_error,omitempty"`
+	// subset that ended with a per-query error, BudgetRejections the
+	// subset of those that exceeded the buffer budget, and LastError
+	// carries the most recent error ("" while error-free). A pass the
+	// query left by being unregistered mid-stream is not counted.
+	Passes           int64  `json:"passes"`
+	Errors           int64  `json:"errors"`
+	BudgetRejections int64  `json:"budget_rejections,omitempty"`
+	LastError        string `json:"last_error,omitempty"`
 	// EvalCPU is cumulative evaluator time attributed to the query:
 	// the summed wall time of its batch evaluations (under a parallel
 	// pass these overlap other queries' evaluations, so the sum across
@@ -35,19 +40,21 @@ type QueryStats struct {
 	Events      int64 `json:"events"`
 	OutputBytes int64 `json:"output_bytes"`
 	// PeakBufferBytes and PeakHeapBufferBytes are high-water marks
-	// across all passes; SpilledBytes accumulates spill traffic.
-	PeakBufferBytes     int64 `json:"peak_buffer_bytes"`
-	PeakHeapBufferBytes int64 `json:"peak_heap_buffer_bytes"`
-	SpilledBytes        int64 `json:"spilled_bytes"`
+	// across all passes; SpilledBytes and RehydratedBytes accumulate
+	// spill traffic, BudgetStall the backpressure stall of the passes
+	// the query rode.
+	PeakBufferBytes     int64         `json:"peak_buffer_bytes"`
+	PeakHeapBufferBytes int64         `json:"peak_heap_buffer_bytes"`
+	SpilledBytes        int64         `json:"spilled_bytes"`
+	RehydratedBytes     int64         `json:"rehydrated_bytes,omitempty"`
+	BudgetStall         time.Duration `json:"budget_stall_ns,omitempty"`
 	// LastPassID is the most recent pass that included the query.
 	LastPassID uint64 `json:"last_pass_id,omitempty"`
 }
 
-// Ledger accumulates per-query cost attribution across shared passes.
-// A Ledger outlives any one Set: a server installs one process-wide
-// Ledger on every per-request Set (SetLedger) so cost accrues across
-// requests. All methods are safe for concurrent use and no-ops on a nil
-// receiver.
+// Ledger accumulates per-query cost attribution across shared passes,
+// and across every Set it is installed on (SetLedger). All methods are
+// safe for concurrent use and no-ops on a nil receiver.
 type Ledger struct {
 	mu      sync.Mutex
 	entries map[string]*QueryStats
@@ -59,10 +66,11 @@ func NewLedger() *Ledger {
 }
 
 // record folds one query's pass outcome into its entry. Called once per
-// (query, pass) when the subscription's run settles; st may be nil for
-// a run that never started.
+// (query, pass) when the pass ends; st is nil for a run that never
+// started. An unregistration mid-pass is not an outcome and leaves the
+// entry untouched.
 func (l *Ledger) record(name string, st *runtime.Stats, evalCPU time.Duration, err error) {
-	if l == nil {
+	if l == nil || errors.Is(err, ErrUnregistered) {
 		return
 	}
 	l.mu.Lock()
@@ -75,18 +83,19 @@ func (l *Ledger) record(name string, st *runtime.Stats, evalCPU time.Duration, e
 	if err != nil {
 		e.Errors++
 		e.LastError = err.Error()
+		if errors.Is(err, bufmgr.ErrBudgetExceeded) {
+			e.BudgetRejections++
+		}
 	}
 	e.EvalCPU += evalCPU
 	if st != nil {
 		e.Events += st.Events
 		e.OutputBytes += st.OutputBytes
-		if st.PeakBufferBytes > e.PeakBufferBytes {
-			e.PeakBufferBytes = st.PeakBufferBytes
-		}
-		if st.PeakHeapBufferBytes > e.PeakHeapBufferBytes {
-			e.PeakHeapBufferBytes = st.PeakHeapBufferBytes
-		}
+		e.PeakBufferBytes = max(e.PeakBufferBytes, st.PeakBufferBytes)
+		e.PeakHeapBufferBytes = max(e.PeakHeapBufferBytes, st.PeakHeapBufferBytes)
 		e.SpilledBytes += st.SpilledBytes
+		e.RehydratedBytes += st.RehydratedBytes
+		e.BudgetStall += st.BudgetStall
 		e.LastPassID = st.PassID
 	}
 	l.mu.Unlock()

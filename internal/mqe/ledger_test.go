@@ -163,13 +163,13 @@ func TestSetFlightRecorder(t *testing.T) {
 	if s.Recorder() != rec {
 		t.Fatal("Recorder getter did not return the installed recorder")
 	}
-	s.SetRequestID("req-42")
 	sub, err := s.RegisterNamed(plan(t, q3, d), io.Discard, "books")
 	if err != nil {
 		t.Fatal(err)
 	}
 	doc := bibDoc(50)
-	if err := s.Run(strings.NewReader(doc)); err != nil {
+	res, err := s.RunPass(nil, strings.NewReader(doc), PassOptions{RequestID: "req-42"})
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -200,12 +200,12 @@ func TestSetFlightRecorder(t *testing.T) {
 	if r.Trace != nil {
 		t.Error("fast pass retained a trace")
 	}
-	if s.LastTrace() != nil {
-		t.Error("recorder-only pass leaked into LastTrace")
+	if res.Record.Trace != nil {
+		t.Error("recorder-only pass leaked into the pass result's trace")
 	}
 
 	// A failed pass still deposits a record with its terminal error.
-	if err := s.Run(strings.NewReader(`<bib><book><title>T</title><broken`)); err == nil {
+	if _, err := s.RunPass(nil, strings.NewReader(`<bib><book><title>T</title><broken`), PassOptions{RequestID: "req-42"}); err == nil {
 		t.Fatal("malformed stream accepted")
 	}
 	if rec.Total() != 2 {
@@ -222,7 +222,7 @@ func TestSetFlightRecorder(t *testing.T) {
 
 // TestSetSlowPassCaptureWithoutTracing: with tracing off but a slow
 // threshold armed, a slow pass's record retains a span tree and dumps
-// through the logger — and LastTrace stays nil (tracing is a separate,
+// through the logger — and the pass result's trace stays nil (tracing is a separate,
 // user-facing switch).
 func TestSetSlowPassCaptureWithoutTracing(t *testing.T) {
 	d := dtd.MustParse(weakBib)
@@ -237,7 +237,8 @@ func TestSetSlowPassCaptureWithoutTracing(t *testing.T) {
 	if _, err := s.RegisterNamed(plan(t, q3, d), io.Discard, "books"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(strings.NewReader(bibDoc(20))); err != nil {
+	res, err := s.RunPass(nil, strings.NewReader(bibDoc(20)), PassOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
 	r := rec.Snapshot(1)[0]
@@ -250,7 +251,7 @@ func TestSetSlowPassCaptureWithoutTracing(t *testing.T) {
 	if !strings.Contains(buf.String(), "slow pass") {
 		t.Errorf("no slow-pass dump: %s", buf.String())
 	}
-	if s.LastTrace() != nil {
-		t.Error("slow-capture trace leaked into LastTrace")
+	if res.Record.Trace != nil {
+		t.Error("slow-capture trace leaked into the pass result's trace")
 	}
 }

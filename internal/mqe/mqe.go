@@ -6,10 +6,12 @@
 // The package has two layers. Dispatcher is the mechanism: one validated
 // pass over a stream, delivered batch-by-batch to a set of Consumers with
 // per-consumer error isolation — a failing consumer is detached, the
-// stream and the other consumers continue. Set is the policy: a registry
-// of (plan, output writer) subscriptions that can be registered and
-// unregistered concurrently, each Run evaluating the current
-// subscriptions over one document in a single shared pass.
+// stream and the other consumers continue. Set is the policy: a
+// long-lived registry of (plan, output writer) subscriptions that can be
+// registered and unregistered concurrently, each pass (RunPass)
+// evaluating the current subscriptions — or the subset its sinks select,
+// into those sinks — over one document in a single shared pass, and
+// returning that pass's own record and per-subscription outcomes.
 //
 // # Event-fanout ownership rules
 //
@@ -47,6 +49,7 @@ import (
 
 	"fluxquery/internal/bufmgr"
 	"fluxquery/internal/dtd"
+	"fluxquery/internal/flightrec"
 	"fluxquery/internal/proj"
 	"fluxquery/internal/shared"
 	"fluxquery/internal/xsax"
@@ -141,6 +144,6 @@ func (d *Dispatcher) ctxErr() error {
 // regardless of consumer failures, which are reported through each
 // consumer's Close.
 func (d *Dispatcher) Run(r io.Reader, consumers []Consumer) error {
-	_, _, err := d.RunScanPass(r, consumers)
-	return err
+	var rec flightrec.Record
+	return d.runPass(r, consumers, &rec)
 }

@@ -70,7 +70,8 @@ func TestSetMatchesSingleQueryRuns(t *testing.T) {
 		}
 		subs[i] = sub
 	}
-	if err := s.Run(strings.NewReader(doc)); err != nil {
+	res, err := s.RunPass(nil, strings.NewReader(doc), PassOptions{})
+	if err != nil {
 		t.Fatalf("shared run: %v", err)
 	}
 	for i, q := range queries {
@@ -90,7 +91,7 @@ func TestSetMatchesSingleQueryRuns(t *testing.T) {
 		// Events and the Scan* counters legitimately differ: the shared
 		// pass projects with the union of all riding plans' path-sets (a
 		// plan may see events only a neighbour needs, and scan stats are
-		// pass-level, reported via Set.LastScan). Everything the plan
+		// pass-level, reported in the pass record). Everything the plan
 		// computes from the events must match exactly.
 		if st.PeakBufferBytes != wantSt.PeakBufferBytes ||
 			st.BufferedBytesTotal != wantSt.BufferedBytesTotal ||
@@ -100,8 +101,8 @@ func TestSetMatchesSingleQueryRuns(t *testing.T) {
 			t.Errorf("query %d: stats differ: shared %+v single %+v", i, st, *wantSt)
 		}
 	}
-	if sc, passes := s.LastScan(); passes != 1 || sc.EventsDelivered == 0 {
-		t.Errorf("LastScan = %+v after %d passes, want 1 pass with deliveries", sc, passes)
+	if rec := res.Record; rec.PassID == 0 || rec.EventsDelivered == 0 || len(res.Queries) != len(queries) {
+		t.Errorf("pass record %+v over %d queries, want one pass with deliveries", rec, len(res.Queries))
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"fluxquery/internal/flightrec"
 	"fluxquery/internal/xsax"
 )
 
@@ -31,42 +32,21 @@ import (
 // delivery in order for every plan — a plan never sees batch k+1 before
 // it acknowledged batch k — and lets the batch arena recycle safely.
 
-// PassStats reports a shared pass's execution metrics.
-type PassStats struct {
-	// Staged reports the pass's form: true when tokenize and validate
-	// ran as stages on their own goroutines, false when batches were
-	// filled inline. The stage stalls and ring peaks below are recorded
-	// only for staged passes.
-	Staged bool
-	// Parallel is the feed worker count the pass ran with:
-	// min(width, plans), at least 1.
-	Parallel int
-	// Batches counts validated batches fanned out.
-	Batches int64
-	// Steals counts plan feeds claimed by a worker outside its own
-	// stripe.
-	Steals int64
-	// TokenizeStall, ValidateStall and DispatchStall are the per-stage
-	// blocked times: the tokenizer waiting on a full token ring, the
-	// validator waiting on a full event ring, and the dispatcher waiting
-	// for a validated batch.
-	TokenizeStall, ValidateStall, DispatchStall time.Duration
-	// TokenRingPeak and EventRingPeak are high-water ring occupancies.
-	TokenRingPeak, EventRingPeak int
-}
-
 // Costed is implemented by consumers whose relative per-batch feeding
 // cost can be estimated; the evaluator pool uses it to balance its
 // worker stripes. Consumers without it weigh 1.
 type Costed interface{ FeedCost() int }
 
-// RunScanPass is Run, additionally reporting the pass's projection scan
-// statistics (all zeros when Proj is nil) and its execution metrics.
-func (d *Dispatcher) RunScanPass(r io.Reader, consumers []Consumer) (xsax.ScanStats, PassStats, error) {
+// runPass is Run, additionally stamping the pass's scan, pipeline and
+// delivery statistics on rec: the pass form and worker count, batches,
+// events, steals, stage stalls, ring peaks, input bytes and the
+// projection counters (all zero when Proj is nil), plus the trie's
+// routing totals under trie dispatch.
+func (d *Dispatcher) runPass(r io.Reader, consumers []Consumer, rec *flightrec.Record) error {
 	if d.Trie != nil {
-		return d.runTrie(r, consumers)
+		return d.runTrie(r, consumers, rec)
 	}
-	return d.runPipelined(r, consumers)
+	return d.runPipelined(r, consumers, rec)
 }
 
 // openPass starts a pass's batch source and its pool of min(width, n)
@@ -87,19 +67,21 @@ func (d *Dispatcher) openPass(r io.Reader, n int) (*xsax.Pipeline, *evalPool) {
 	return pl, newEvalPool(max(1, min(width, n)))
 }
 
-// closePass joins a pass's worker pool and batch source and assembles
-// its statistics. Consumers must be closed first (releasing their budget
-// accounts): a tokenizer stage may be parked in a gate wait that only
-// drains when accounts release.
-func closePass(pl *xsax.Pipeline, pool *evalPool, batches int64) (xsax.ScanStats, PassStats) {
-	ps := PassStats{Staged: pl.Staged(), Parallel: pool.n, Batches: batches, Steals: pool.close()}
+// closePass joins a pass's worker pool and batch source and stamps
+// their statistics on rec. Consumers must be closed first (releasing
+// their budget accounts): a tokenizer stage may be parked in a gate wait
+// that only drains when accounts release.
+func closePass(pl *xsax.Pipeline, pool *evalPool, rec *flightrec.Record) {
+	rec.Staged, rec.Parallel, rec.Steals = pl.Staged(), pool.n, pool.close()
 	sc, pps, _ := pl.Close()
-	ps.TokenizeStall, ps.ValidateStall, ps.DispatchStall = pps.TokStall, pps.ValStall, pps.DispStall
-	ps.TokenRingPeak, ps.EventRingPeak = pps.TokRingPeak, pps.ValRingPeak
-	return sc, ps
+	rec.TokenizeStall, rec.ValidateStall, rec.DispatchStall = pps.TokStall, pps.ValStall, pps.DispStall
+	rec.TokenRingPeak, rec.EventRingPeak = pps.TokRingPeak, pps.ValRingPeak
+	rec.InputBytes = sc.BytesRead
+	rec.EventsDelivered, rec.EventsSkipped = sc.EventsDelivered, sc.EventsSkipped
+	rec.SubtreesSkipped, rec.BytesSkipped = sc.SubtreesSkipped, sc.BytesSkipped
 }
 
-func (d *Dispatcher) runPipelined(r io.Reader, consumers []Consumer) (xsax.ScanStats, PassStats, error) {
+func (d *Dispatcher) runPipelined(r io.Reader, consumers []Consumer, rec *flightrec.Record) error {
 	live := make([]Consumer, len(consumers))
 	copy(live, consumers)
 	// Cost-ordered so the round-robin deal below balances the stripes.
@@ -154,7 +136,8 @@ func (d *Dispatcher) runPipelined(r io.Reader, consumers []Consumer) (xsax.ScanS
 	for _, c := range live {
 		c.Close(cause)
 	}
-	sc, ps := closePass(pl, pool, batches)
+	closePass(pl, pool, rec)
+	rec.Batches, rec.Events = batches, events
 	if obs != nil {
 		// In a staged pass the dispatcher's "scan" time is its wait on
 		// the validated-batch ring — the stage goroutines overlap it, so
@@ -162,15 +145,13 @@ func (d *Dispatcher) runPipelined(r io.Reader, consumers []Consumer) (xsax.ScanS
 		// wall clock. Inline, "scan" is the batch fill itself and the
 		// spans do partition it.
 		obs.Scan.AddTime(scanTime)
-		obs.Scan.AddStall(ps.DispatchStall)
+		obs.Scan.AddStall(rec.DispatchStall)
 		obs.Dispatch.AddTime(dispTime)
-		obs.Batches = batches
-		obs.Events = events
 	}
 	if cause == io.EOF {
-		return sc, ps, nil
+		return nil
 	}
-	return sc, ps, cause
+	return cause
 }
 
 func feedCost(c Consumer) int {

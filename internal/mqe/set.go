@@ -28,94 +28,82 @@ var ErrUnregistered = errors.New("mqe: subscription unregistered during streamin
 // completed any run.
 var ErrNotRun = errors.New("mqe: subscription has not completed a run")
 
-// Set is a registry of compiled plans riding a shared event stream. Plans
-// are registered with a per-plan output writer; each Run evaluates every
-// currently registered plan over one document in a single
-// tokenize+validate pass. Register and Unregister are safe to call
-// concurrently with Run: a registration takes effect at the next Run, an
-// unregistration detaches the subscription from an in-flight Run at the
-// next batch boundary (aborting it with ErrUnregistered).
+// Set is a registry of compiled plans riding a shared event stream.
+// Plans are registered with a per-plan output writer; each pass
+// (RunPass) evaluates the registered plans — all of them, or the subset
+// its sinks select — over one document in a single tokenize+validate
+// pass. Register and Unregister are safe to call concurrently with
+// passes: a registration takes effect at the next pass, an
+// unregistration detaches the subscription from an in-flight pass at the
+// next batch boundary (aborting it with ErrUnregistered). Passes given
+// their own sinks run concurrently with each other.
 type Set struct {
-	d    *dtd.DTD
-	disp Dispatcher
+	d *dtd.DTD
 
-	// runMu serializes Run: subscriptions write to fixed per-Sub writers,
-	// so two concurrent passes would interleave on them.
+	// runMu serializes the passes that write to the registration-time
+	// writers: two of them would interleave on the same writer. A pass
+	// given its own sinks does not take it.
 	runMu sync.Mutex
 
 	mu   sync.Mutex
 	subs []*Sub
-	// pauto is the compiled union of every registered plan's projection
-	// path-set. Register/Unregister invalidate it (projDirty) and the
-	// next Run recompiles it once — registering K plans costs one union
-	// build, not K. The automaton is immutable once built: an in-flight
-	// Run keeps the one it snapshotted even as registrations replace it.
-	// nil while the set is empty (a pass over zero subscriptions stays a
-	// full validation pass).
-	pauto     *proj.Automaton
-	projDirty bool
-	pmode     proj.Mode
-	// dispatch selects how a pass fans events out. Under DispatchTrie,
-	// trie holds the compiled dispatch trie for the current
-	// subscriptions, rebuilt lazily (trieDirty) under the same
-	// immutable-snapshot discipline as pauto: an in-flight Run keeps the
-	// trie it snapshotted, whose plan indices match the subscription
-	// slice it snapshotted alongside.
-	dispatch  DispatchMode
-	trie      *shared.Trie
-	trieDirty bool
-	trieBuild time.Duration
-	// trieMembers maps each trie plan index (a delivery class — plans
-	// whose projection automaton and shell requirement coincide, so their
-	// event streams are identical) to the subscription indices riding it.
-	// trieMaxFan is the widest per-subscription fan-out any interned list
-	// reaches once class membership is multiplied back in.
-	trieMembers [][]int32
-	trieMaxFan  int
-	// sstats is the DTD's schema-statistics bundle, computed on first
-	// registration and reused for every plan's dispatch-cost estimate.
-	sstats *shared.SchemaStats
-	// lastDispatch reports the most recent pass's dispatch-layer
-	// statistics.
-	lastDispatch DispatchStats
+	// gen counts registration changes. route is the compiled routing of
+	// the full subscription list at generation route.gen, rebuilt by the
+	// first full pass after a change (registering K plans costs one
+	// build, not K). Routings are immutable: an in-flight pass keeps the
+	// one it took even as registrations replace it.
+	gen   uint64
+	route *routing
+	pmode proj.Mode
+	// dispatch selects how a pass fans events out; under DispatchTrie
+	// each routing also carries the dispatch trie.
+	dispatch DispatchMode
+	// sstats is the DTD's schema-statistics bundle, computed once on
+	// first registration (outside mu) and reused for every plan's
+	// dispatch-cost estimate.
+	statsOnce sync.Once
+	sstats    *shared.SchemaStats
 	// bufs, when non-nil, governs the buffer memory of shared passes:
-	// each Run opens one gate (the pass's backpressure point) and one
+	// each pass opens one gate (the pass's backpressure point) and one
 	// account per riding plan, so a budget violation is attributed — and,
 	// under bufmgr.PolicyFail, confined — to the individual plan.
 	bufs *bufmgr.Manager
-	// lastScan reports the most recent pass's projection counters; passes
-	// counts completed Run calls. lastStall is the most recent pass's
-	// backpressure stall, lastPass its execution metrics.
-	lastScan  xsax.ScanStats
-	passes    int64
-	lastStall time.Duration
-	lastPass  PassStats
-	// mt is the resolved telemetry instrument bundle (nil = disabled);
-	// tracing/traceID configure span capture of subsequent runs, and
-	// lastTrace holds the most recent completed pass's span tree.
-	mt        *setMetrics
-	tracing   bool
-	traceID   string
-	lastTrace *telemetry.Trace
-	// rec, when non-nil, receives one flight-recorder record per
-	// completed pass (success or failure); when its slow-pass capture
-	// policy is armed, every pass builds a span tree that the recorder
-	// retains only for slow passes. reqID labels subsequent passes'
-	// records with the driving request's id.
-	rec   *flightrec.Recorder
-	reqID string
+	// mt is the resolved telemetry instrument bundle (nil = disabled).
+	mt *setMetrics
+	// rec, when non-nil, receives every pass's record (success or
+	// failure); when its slow-pass capture policy is armed, every pass
+	// builds a span tree that the recorder retains only for slow passes.
+	rec *flightrec.Recorder
 	// ledger, when non-nil, accrues per-query cost attribution (eval
 	// CPU, delivered data, buffer peaks, errors) across passes, keyed
-	// by registration name. A ledger typically outlives the Set: a
-	// server installs one process-wide ledger on every per-request Set.
+	// by registration name.
 	ledger *Ledger
 	// nameSeq numbers unnamed registrations for telemetry labels.
 	nameSeq int
 }
 
+// routing is the compiled delivery structure of one subscription list:
+// the union skip automaton of the plans' projection path-sets (nil for
+// an empty list, whose pass stays a full validation pass) and, under
+// trie dispatch, the dispatch trie over the plans' delivery classes. The
+// trie's plan indices are class indices; members maps each class to the
+// indices in subs riding it.
+type routing struct {
+	gen     uint64
+	subs    []*Sub
+	auto    *proj.Automaton
+	trie    *shared.Trie
+	members [][]int32
+	// maxFan is the widest per-subscription fan-out any interned list
+	// reaches once class membership is multiplied back in; build is the
+	// trie's build time.
+	maxFan int
+	build  time.Duration
+}
+
 // NewSet returns a Set for streams governed by d.
 func NewSet(d *dtd.DTD) *Set {
-	return &Set{d: d, disp: Dispatcher{DTD: d}}
+	return &Set{d: d}
 }
 
 // Sub is one registered (plan, output) subscription.
@@ -130,18 +118,19 @@ type Sub struct {
 	// the evaluator pool orders its worker stripes by it.
 	cost int
 
-	mu  sync.Mutex
-	ran bool
-	st  runtime.Stats
-	dur time.Duration
-	err error
+	// last is the outcome of the most recent pass that included the
+	// subscription (ran is false before any).
+	mu   sync.Mutex
+	ran  bool
+	last QueryResult
 }
 
 // Register adds a plan to the set, streaming its result to out on every
-// subsequent Run. The plan must be compiled against the set's DTD: events
-// carry names interned in one schema, and a plan scheduled under a
-// different schema would mis-dispatch on them. An equal DTD parsed
-// separately qualifies: DTDs are compared by their fingerprints.
+// subsequent pass that does not supply its own sinks (out may be nil
+// when every pass will). The plan must be compiled against the set's
+// DTD: events carry names interned in one schema, and a plan scheduled
+// under a different schema would mis-dispatch on them. An equal DTD
+// parsed separately qualifies: DTDs are compared by their fingerprints.
 func (s *Set) Register(p *runtime.Plan, out io.Writer) (*Sub, error) {
 	return s.RegisterNamed(p, out, "")
 }
@@ -154,20 +143,16 @@ func (s *Set) RegisterNamed(p *runtime.Plan, out io.Writer, name string) (*Sub, 
 		return nil, fmt.Errorf("mqe: plan compiled against a different DTD (root <%s>, stream root <%s>)",
 			p.DTD().Root, s.d.Root)
 	}
-	b := &Sub{set: s, plan: p, out: out}
+	s.statsOnce.Do(func() { s.sstats = shared.ComputeStats(s.d) })
+	b := &Sub{set: s, plan: p, out: out, cost: shared.PlanCostInt(p.Paths(), p.NeedShells(), s.sstats)}
 	s.mu.Lock()
 	s.nameSeq++
 	if name == "" {
 		name = fmt.Sprintf("q%d", s.nameSeq)
 	}
 	b.name = name
-	if s.sstats == nil {
-		s.sstats = shared.ComputeStats(s.d)
-	}
-	b.cost = shared.PlanCostInt(p.Paths(), p.NeedShells(), s.sstats)
 	s.subs = append(s.subs, b)
-	s.projDirty = true
-	s.trieDirty = true
+	s.gen++
 	s.mu.Unlock()
 	return b, nil
 }
@@ -176,63 +161,34 @@ func (s *Set) RegisterNamed(p *runtime.Plan, out io.Writer, name string) (*Sub, 
 // plans: DispatchFanout (the default) delivers every batch to every
 // plan, DispatchTrie routes events through the shared dispatch trie so
 // per-event cost tracks the distinct registered paths rather than the
-// registration count. Takes effect at the next Run.
+// registration count. Takes effect at the next pass.
 func (s *Set) SetDispatch(m DispatchMode) {
 	s.mu.Lock()
-	if m != s.dispatch && m == DispatchTrie {
-		s.trieDirty = true
-	}
 	s.dispatch = m
 	s.mu.Unlock()
-}
-
-// LastDispatch returns the dispatch-layer statistics of the most recent
-// successfully completed Run.
-func (s *Set) LastDispatch() DispatchStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastDispatch
 }
 
 // SetProjection selects how shared passes treat stream regions no
 // registered plan can use: proj.ModeFast (the default) bulk-skips them in
 // the tokenizer, proj.ModeValidate still validates them fully, and
-// proj.ModeOff delivers every event. Takes effect at the next Run.
+// proj.ModeOff delivers every event. Takes effect at the next pass.
 func (s *Set) SetProjection(m proj.Mode) {
 	s.mu.Lock()
 	s.pmode = m
 	s.mu.Unlock()
 }
 
-// LastScan returns the projection counters of the most recent
-// successfully completed Run and the number of such runs (shared scan
-// passes). A Run that fails mid-stream leaves both unchanged.
-func (s *Set) LastScan() (xsax.ScanStats, int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastScan, s.passes
-}
-
 // SetBuffers installs the buffer manager governing shared passes (nil =
-// unmanaged). Takes effect at the next Run.
+// unmanaged). Takes effect at the next pass.
 func (s *Set) SetBuffers(m *bufmgr.Manager) {
 	s.mu.Lock()
 	s.bufs = m
 	s.mu.Unlock()
 }
 
-// LastStall returns the backpressure stall of the most recent
-// successfully completed Run (zero unless bufmgr.PolicyBackpressure
-// throttled the pass).
-func (s *Set) LastStall() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastStall
-}
-
 // SetTelemetry publishes the set's pass metrics on reg (nil disables).
 // Instruments are resolved once here; passes then update them with plain
-// atomic operations. Takes effect at the next Run.
+// atomic operations. Takes effect at the next pass.
 func (s *Set) SetTelemetry(reg *telemetry.Registry) {
 	mt := newSetMetrics(reg)
 	s.mu.Lock()
@@ -240,29 +196,11 @@ func (s *Set) SetTelemetry(reg *telemetry.Registry) {
 	s.mu.Unlock()
 }
 
-// SetTracing enables span capture of subsequent runs; id correlates the
-// traces with an external request ("" for none). Takes effect at the
-// next Run.
-func (s *Set) SetTracing(on bool, id string) {
-	s.mu.Lock()
-	s.tracing = on
-	s.traceID = id
-	s.mu.Unlock()
-}
-
-// LastTrace returns the span tree of the most recent successfully
-// completed Run, or nil when tracing is off (or no run completed).
-func (s *Set) LastTrace() *telemetry.Trace {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastTrace
-}
-
-// SetRecorder installs the flight recorder receiving one record per
-// completed pass, success or failure (nil disables). When the recorder's
+// SetRecorder installs the flight recorder receiving every pass's
+// record, success or failure (nil disables). When the recorder's
 // slow-pass capture policy is armed, subsequent passes build a span tree
-// even with tracing off, so a slow pass dumps with full stage
-// attribution. Takes effect at the next Run.
+// even when not traced, so a slow pass dumps with full stage
+// attribution. Takes effect at the next pass.
 func (s *Set) SetRecorder(rec *flightrec.Recorder) {
 	s.mu.Lock()
 	s.rec = rec
@@ -276,19 +214,10 @@ func (s *Set) Recorder() *flightrec.Recorder {
 	return s.rec
 }
 
-// SetRequestID labels subsequent passes' flight-recorder records (and
-// slow-pass dumps) with the driving request's id ("" clears it). Takes
-// effect at the next Run.
-func (s *Set) SetRequestID(id string) {
-	s.mu.Lock()
-	s.reqID = id
-	s.mu.Unlock()
-}
-
 // SetLedger installs the per-query cost ledger (nil disables): every
 // pass folds each riding plan's cost — evaluator CPU, delivered events,
 // output bytes, buffer peaks, errors — into the ledger entry of its
-// registration name. Takes effect at the next Run.
+// registration name. Takes effect at the next pass.
 func (s *Set) SetLedger(l *Ledger) {
 	s.mu.Lock()
 	s.ledger = l
@@ -302,58 +231,25 @@ func (s *Set) Ledger() *Ledger {
 	return s.ledger
 }
 
-// LastPass returns the execution metrics of the most recent successfully
-// completed Run.
-func (s *Set) LastPass() PassStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastPass
-}
-
-// recomputeProjLocked rebuilds the union skip automaton from the current
-// subscriptions when a Register/Unregister has invalidated it. Called
-// with s.mu held at the start of each Run; the previous automaton is
-// never mutated, so an in-flight Run that already snapshotted it is
-// unaffected (its union is merely wider or narrower than the new
-// registration set, both of which are sound for the plans it snapshotted
-// alongside).
-func (s *Set) recomputeProjLocked() {
-	if !s.projDirty {
-		return
-	}
-	s.projDirty = false
-	if len(s.subs) == 0 {
-		s.pauto = nil
-		return
-	}
-	sets := make([]*proj.PathSet, len(s.subs))
-	for i, b := range s.subs {
-		sets[i] = b.plan.Paths()
-	}
-	// Compiled over the stream DTD's name-id vocabulary so the shared
-	// pass dispatches verdicts with slice loads. Plans ride with their
-	// own (equivalent) DTD: equal fingerprints assign identical ids,
-	// which Register's equivalence check guarantees.
-	s.pauto = proj.CompileVocab(proj.Union(sets...), s.d.IDNames())
-}
-
-// recomputeTrieLocked rebuilds the dispatch trie from the current
-// subscriptions when trie dispatch is selected and a registration change
-// has invalidated it. Called with s.mu held at the start of each Run —
-// the same lock hold that snapshots s.subs, so the trie's plan indices
-// always match the subscription slice the pass rides with. The previous
-// trie is never mutated (in-flight Runs keep their snapshot). The build
-// cost is recorded so a pass can report it; it is paid once per
-// registration change, not per pass.
-func (s *Set) recomputeTrieLocked() {
-	if s.dispatch != DispatchTrie {
-		return
-	}
-	if !s.trieDirty && s.trie != nil {
-		return
-	}
-	s.trieDirty = false
+// compileRouting builds the routing of subs: the union skip automaton
+// and, when withTrie, the dispatch trie. It takes no lock.
+func (s *Set) compileRouting(subs []*Sub, withTrie bool, mt *setMetrics) *routing {
+	rt := &routing{subs: subs}
 	names := s.d.IDNames()
+	if len(subs) > 0 {
+		sets := make([]*proj.PathSet, len(subs))
+		for i, b := range subs {
+			sets[i] = b.plan.Paths()
+		}
+		// Compiled over the stream DTD's name-id vocabulary so the shared
+		// pass dispatches verdicts with slice loads. Plans ride with their
+		// own (equivalent) DTD: equal fingerprints assign identical ids,
+		// which Register's equivalence check guarantees.
+		rt.auto = proj.CompileVocab(proj.Union(sets...), names)
+	}
+	if !withTrie {
+		return rt
+	}
 	// Class the subscriptions by delivery behavior before building: two
 	// registrations of the same compiled plan (pointer-identical
 	// projection automaton, same shell requirement) receive identical
@@ -367,40 +263,78 @@ func (s *Set) recomputeTrieLocked() {
 		auto   *proj.Automaton
 		shells bool
 	}
-	idx := make(map[classKey]int32, len(s.subs))
-	reqs := make([]shared.PlanReq, 0, len(s.subs))
-	members := make([][]int32, 0, len(s.subs))
-	for i, b := range s.subs {
+	idx := make(map[classKey]int32, len(subs))
+	reqs := make([]shared.PlanReq, 0, len(subs))
+	for i, b := range subs {
 		k := classKey{b.plan.ProjAutomaton(), b.plan.NeedShells()}
 		c, ok := idx[k]
 		if !ok {
 			c = int32(len(reqs))
 			idx[k] = c
 			reqs = append(reqs, shared.PlanReq{Auto: k.auto, NeedShells: k.shells})
-			members = append(members, nil)
+			rt.members = append(rt.members, nil)
 		}
-		members[c] = append(members[c], int32(i))
+		rt.members[c] = append(rt.members[c], int32(i))
 	}
 	t0 := time.Now()
-	s.trie = shared.Build(reqs, len(names))
-	s.trieBuild = time.Since(t0)
-	s.trieMembers = members
-	s.trieMaxFan = 0
-	for li := 0; li < s.trie.NumLists(); li++ {
+	rt.trie = shared.Build(reqs, len(names))
+	rt.build = time.Since(t0)
+	for li := 0; li < rt.trie.NumLists(); li++ {
 		n := 0
-		for _, c := range s.trie.List(int32(li)) {
-			n += len(members[c])
+		for _, c := range rt.trie.List(int32(li)) {
+			n += len(rt.members[c])
 		}
-		if n > s.trieMaxFan {
-			s.trieMaxFan = n
-		}
+		rt.maxFan = max(rt.maxFan, n)
 	}
-	if s.mt != nil {
-		s.mt.recordTrieBuild(s.trie, s.trieMaxFan)
+	if mt != nil {
+		mt.recordTrieBuild(rt.trie, rt.maxFan)
 	}
+	return rt
 }
 
-// Unregister removes the subscription. An in-flight Run detaches it at
+// routingFor returns the routing a pass over sinks rides (nil sinks:
+// every subscription). A pass over every subscription rides the cached
+// routing, compiling it first when a registration change made it stale;
+// a subset pass compiles a routing over just its subset. Compilation
+// runs outside s.mu, so registrations are never blocked behind it; a
+// routing whose generation was overtaken meanwhile still serves its own
+// pass (an in-flight pass tolerates stale routing the same way) but is
+// not cached.
+func (s *Set) routingFor(sinks map[*Sub]io.Writer, withTrie bool, mt *setMetrics) *routing {
+	s.mu.Lock()
+	subs := s.subs
+	if sinks != nil {
+		subs = make([]*Sub, 0, len(sinks))
+		for _, b := range s.subs {
+			if _, ok := sinks[b]; ok {
+				subs = append(subs, b)
+			}
+		}
+	}
+	full := len(subs) == len(s.subs)
+	gen := s.gen
+	if rt := s.route; full && rt != nil && rt.gen == gen && (rt.trie != nil || !withTrie) {
+		s.mu.Unlock()
+		return rt
+	}
+	if sinks == nil {
+		// Unregister splices s.subs in place; the routing keeps a copy.
+		subs = append([]*Sub(nil), subs...)
+	}
+	s.mu.Unlock()
+	rt := s.compileRouting(subs, withTrie, mt)
+	if full {
+		rt.gen = gen
+		s.mu.Lock()
+		if s.gen == gen {
+			s.route = rt
+		}
+		s.mu.Unlock()
+	}
+	return rt
+}
+
+// Unregister removes the subscription. An in-flight pass detaches it at
 // the next batch boundary, recording ErrUnregistered as its result.
 // Unregister is idempotent.
 func (b *Sub) Unregister() {
@@ -415,8 +349,7 @@ func (b *Sub) Unregister() {
 			break
 		}
 	}
-	s.projDirty = true
-	s.trieDirty = true
+	s.gen++
 	s.mu.Unlock()
 }
 
@@ -427,99 +360,105 @@ func (s *Set) Len() int {
 	return len(s.subs)
 }
 
-// Result returns the subscription's outcome from the most recent Run that
-// included it: the execution statistics, and the error that ended it
-// (nil for a clean evaluation).
+// Result returns the subscription's outcome from the most recent pass
+// that included it: the execution statistics, and the error that ended
+// it (nil for a clean evaluation). Concurrent passes race for "most
+// recent"; a pass's own outcome is in its PassResult.
 func (b *Sub) Result() (runtime.Stats, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if !b.ran {
 		return runtime.Stats{}, ErrNotRun
 	}
-	return b.st, b.err
+	return b.last.Stats, b.last.Err
 }
 
 // Duration returns the wall-clock time of the subscription's most recent
-// run (the shared pass; all subscriptions of one Run ride the same
-// clock).
+// pass (all subscriptions of one pass ride the same clock).
 func (b *Sub) Duration() time.Duration {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.dur
+	return b.last.Duration
 }
 
-// setStall overwrites the most recent run's backpressure stall with the
-// pass-wide value once the pass has fully ended.
-func (b *Sub) setStall(stall time.Duration) {
-	b.mu.Lock()
-	if b.ran {
-		b.st.BudgetStall = stall
-	}
-	b.mu.Unlock()
+// PassOptions configures one RunPass.
+type PassOptions struct {
+	// Sinks, when non-nil, selects the subscriptions the pass runs and
+	// gives each the writer its result streams to; subscriptions not
+	// registered when the pass starts are left out. When nil, every
+	// registered subscription runs and writes to its registration-time
+	// writer, and the pass is serialized with other such passes.
+	Sinks map[*Sub]io.Writer
+	// RequestID labels the pass's record (and a slow-pass dump) with the
+	// driving request's id, and tags its trace.
+	RequestID string
+	// Trace captures the pass's span tree into PassResult.Record.Trace.
+	Trace bool
 }
 
-func (b *Sub) setResult(st *runtime.Stats, dur time.Duration, err error) {
-	b.mu.Lock()
-	b.ran = true
-	if st != nil {
-		b.st = *st
-	} else {
-		b.st = runtime.Stats{}
-	}
-	b.dur = dur
-	b.err = err
-	b.mu.Unlock()
+// QueryResult is one subscription's outcome in one pass.
+type QueryResult struct {
+	// Stats are the plan's execution statistics; BudgetStall carries the
+	// pass-wide backpressure stall.
+	Stats runtime.Stats
+	// Duration is the pass's wall time up to the plan's settlement.
+	Duration time.Duration
+	// Err ended the evaluation (nil for a clean one; ErrUnregistered
+	// when the subscription was unregistered mid-pass).
+	Err error
+}
+
+// PassResult is one pass's outcome: its flight record and the outcome
+// of every subscription that rode it.
+type PassResult struct {
+	Record  flightrec.Record
+	Queries map[*Sub]QueryResult
 }
 
 // Run evaluates every registered plan over one document in a single
-// shared tokenize+validate pass. Per-plan results (including per-plan
-// failures, which do not disturb the other plans or the stream) are
-// recorded on each Sub; Run's own error is the stream's: nil on a
-// well-formed, valid document. Concurrent Run calls are serialized:
-// every subscription streams to its fixed writer, so passes must not
-// overlap on it.
-func (s *Set) Run(r io.Reader) error {
-	return s.RunContext(nil, r)
+// shared tokenize+validate pass; see RunPass.
+func (s *Set) Run(r io.Reader) error { return s.RunContext(nil, r) }
+
+// RunContext is Run under a cancellation context; see RunPass.
+func (s *Set) RunContext(ctx context.Context, r io.Reader) error {
+	_, err := s.RunPass(ctx, r, PassOptions{})
+	return err
 }
 
-// RunContext is Run under a cancellation context: the pass checks ctx at
-// every batch boundary, parked stages (gate waits, ring hand-offs)
-// unpark on cancellation, and ctx's error becomes both the pass's return
-// and every riding plan's terminal error — a cancelled plan always
-// reports the cancellation, never a silently truncated result. A nil or
-// non-cancellable ctx degrades to Run.
-func (s *Set) RunContext(ctx context.Context, r io.Reader) error {
-	s.runMu.Lock()
-	defer s.runMu.Unlock()
-	s.mu.Lock()
-	s.recomputeProjLocked()
-	s.recomputeTrieLocked()
-	subs := make([]*Sub, len(s.subs))
-	copy(subs, s.subs)
-	disp := s.disp
-	disp.Proj = s.pauto
-	disp.ProjMode = s.pmode
-	var ds DispatchStats
-	ds.Mode = s.dispatch.String()
-	ds.Plans = len(subs)
-	if s.dispatch == DispatchTrie {
-		disp.Trie = s.trie
-		disp.Members = s.trieMembers
-		disp.Disp = &ds
-		ds.TrieNodes = s.trie.NumNodes()
-		ds.TrieLists = s.trie.NumLists()
-		ds.MaxFanout = s.trieMaxFan
-		ds.BuildNanos = s.trieBuild.Nanoseconds()
+// RunPass evaluates the plans o selects over one document in a single
+// shared tokenize+validate pass and returns the pass's record and
+// per-plan outcomes. Per-plan failures do not disturb the other plans or
+// the stream; RunPass's own error is the stream's: nil on a well-formed,
+// valid document.
+//
+// Under a cancellation context the pass checks ctx at every batch
+// boundary, parked stages (gate waits, ring hand-offs) unpark on
+// cancellation, and ctx's error becomes both the pass's return and every
+// riding plan's terminal error — a cancelled plan always reports the
+// cancellation, never a silently truncated result. A nil or
+// non-cancellable ctx never cancels.
+func (s *Set) RunPass(ctx context.Context, r io.Reader, o PassOptions) (PassResult, error) {
+	if o.Sinks == nil {
+		s.runMu.Lock()
+		defer s.runMu.Unlock()
 	}
-	bufs := s.bufs
-	mt := s.mt
-	tracing := s.tracing
-	traceID := s.traceID
-	pmode := s.pmode
-	rec := s.rec
-	reqID := s.reqID
-	ledger := s.ledger
+	s.mu.Lock()
+	pmode, dispatch, bufs, mt, recorder, ledger := s.pmode, s.dispatch, s.bufs, s.mt, s.rec, s.ledger
 	s.mu.Unlock()
+	rt := s.routingFor(o.Sinks, dispatch == DispatchTrie, mt)
+
+	rec := flightrec.Record{
+		RequestID:  o.RequestID,
+		Projection: pmode.String(),
+		Dispatch:   dispatch.String(),
+		Plans:      len(rt.subs),
+	}
+	disp := Dispatcher{DTD: s.d, Proj: rt.auto, ProjMode: pmode}
+	if dispatch == DispatchTrie {
+		disp.Trie, disp.Members = rt.trie, rt.members
+		rec.TrieNodes, rec.TrieLists = rt.trie.NumNodes(), rt.trie.NumLists()
+		rec.TrieMaxFanout, rec.TrieBuild = rt.maxFan, rt.build
+	}
 
 	// One gate per pass, one account per riding plan: the gate throttles
 	// the shared scan under backpressure, the accounts isolate budget
@@ -532,131 +471,106 @@ func (s *Set) RunContext(ctx context.Context, r io.Reader) error {
 	}
 
 	// Every pass gets a process-unique id; a trace (span capture) when
-	// tracing is on — or when the flight recorder's slow-pass policy is
+	// asked for — or when the flight recorder's slow-pass policy is
 	// armed, so a pass that turns out slow dumps with its span tree even
-	// though tracing was never enabled. The span tree is built up front
-	// on this goroutine — the pass's own synchronization then makes
-	// per-span writes safe (one owner per span per batch, barriers
-	// between batches).
+	// though it was not traced. The span tree is built up front on this
+	// goroutine — the pass's own synchronization then makes per-span
+	// writes safe (one owner per span per batch, barriers between
+	// batches).
 	var tr *telemetry.Trace
-	var passID uint64
 	var obs *PassObs
-	if tracing || rec.CapturesSlow() {
-		tr = telemetry.NewTrace(traceID)
-		passID = tr.PassID
-	} else {
-		passID = telemetry.NextPassID()
-	}
-	if tr != nil || mt != nil || rec != nil {
+	if o.Trace || recorder.CapturesSlow() {
+		tr = telemetry.NewTrace(o.RequestID)
+		rec.PassID = tr.PassID
 		obs = &PassObs{Scan: tr.Span().Child("scan"), Dispatch: tr.Span().Child("dispatch")}
 		disp.Obs = obs
+	} else {
+		rec.PassID = telemetry.NextPassID()
 	}
-	var faults0 int64
-	if rec != nil {
-		faults0 = faultinj.TotalInjected()
+	faults0 := faultinj.TotalInjected()
+
+	rec.Start = time.Now()
+	runs := make([]subRun, len(rt.subs))
+	consumers := make([]Consumer, len(rt.subs))
+	for i, b := range rt.subs {
+		w := b.out
+		if o.Sinks != nil {
+			w = o.Sinks[b]
+		}
+		if w == nil {
+			w = io.Discard
+		}
+		acct := gate.NewAccount()
+		runs[i] = subRun{
+			sub:     b,
+			se:      b.plan.NewStepExecBudgeted(w, acct),
+			acct:    acct,
+			start:   rec.Start,
+			passID:  rec.PassID,
+			hist:    mt.evalSeconds(b.name),
+			span:    obs.evalSpan(b.name),
+			measure: ledger != nil,
+		}
+		consumers[i] = &runs[i]
+	}
+	err := disp.runPass(r, consumers, &rec)
+	rec.Duration = time.Since(rec.Start)
+	rec.GateStall = gate.Stall()
+	gate.Close()
+	rec.FaultHits = faultinj.TotalInjected() - faults0
+	if rec.Duration > 0 {
+		rec.MBps = float64(rec.InputBytes) / (1 << 20) / rec.Duration.Seconds()
+	}
+	if err != nil {
+		rec.Err = err.Error()
+		switch {
+		case errors.Is(err, context.DeadlineExceeded):
+			rec.CancelReason = "deadline"
+		case errors.Is(err, context.Canceled):
+			rec.CancelReason = "canceled"
+		}
 	}
 
-	start := time.Now()
-	consumers := make([]Consumer, len(subs))
-	for i, b := range subs {
-		acct := gate.NewAccount()
-		consumers[i] = &subRun{
-			sub:    b,
-			se:     b.plan.NewStepExecBudgeted(b.out, acct),
-			acct:   acct,
-			start:  start,
-			passID: passID,
-			hist:   mt.evalSeconds(b.name),
-			span:   obs.evalSpan(b.name),
-			ledger: ledger,
-		}
-	}
-	sc, ps, err := disp.RunScanPass(r, consumers)
-	wall := time.Since(start)
-	stall := gate.Stall()
 	// Every riding plan reports the same full-pass stall (a consumer
-	// that settled mid-pass snapshotted only what had accrued by then).
-	for _, c := range consumers {
-		if rr, ok := c.(*subRun); ok {
-			rr.sub.setStall(stall)
+	// that settled mid-pass saw only what had accrued by then).
+	res := PassResult{Queries: make(map[*Sub]QueryResult, len(runs))}
+	for i := range runs {
+		rr := &runs[i]
+		q := QueryResult{Stats: rr.st, Duration: rr.dur, Err: rr.err}
+		q.Stats.BudgetStall = rec.GateStall
+		res.Queries[rr.sub] = q
+		rr.sub.mu.Lock()
+		rr.sub.ran, rr.sub.last = true, q
+		rr.sub.mu.Unlock()
+		if q.Err != nil && !errors.Is(q.Err, ErrUnregistered) {
+			rec.PlanErrors++
 		}
+		rec.BufferPeak = max(rec.BufferPeak, q.Stats.PeakHeapBufferBytes)
+		rec.SpilledBytes += q.Stats.SpilledBytes
+		rec.RehydratedBytes += q.Stats.RehydratedBytes
+		ledger.record(rr.sub.name, &q.Stats, rr.evalCPU, q.Err)
 	}
-	gate.Close()
+
 	if tr != nil {
-		s.stampTrace(tr, obs, sc, ps, stall)
+		stampTrace(tr, obs, &rec)
 	}
 	if err == nil {
-		if mt != nil {
-			s.recordPass(mt, obs, sc, ps, stall, wall)
-			mt.recordDispatch(ds)
-		}
-		s.mu.Lock()
-		s.lastScan = sc
-		s.passes++
-		s.lastStall = stall
-		s.lastPass = ps
-		s.lastDispatch = ds
-		// lastTrace is the user-facing tracing feature; a trace built
-		// only for slow-pass capture stays out of it.
-		if tr != nil && tracing {
-			s.lastTrace = tr
-		}
-		s.mu.Unlock()
+		mt.recordPass(&rec)
 	} else {
 		mt.cancelled(err)
 	}
-	if rec != nil {
-		fr := flightrec.Record{
-			PassID:         passID,
-			RequestID:      reqID,
-			Start:          start,
-			Duration:       wall,
-			Projection:     pmode.String(),
-			Dispatch:       ds.Mode,
-			Staged:         ps.Staged,
-			Parallel:       ps.Parallel,
-			Plans:          len(subs),
-			InputBytes:     sc.BytesRead,
-			Events:         obs.Events,
-			Batches:        obs.Batches,
-			TokenizeStall:  ps.TokenizeStall,
-			ValidateStall:  ps.ValidateStall,
-			DispatchStall:  ps.DispatchStall,
-			GateStall:      stall,
-			TokenRingPeak:  ps.TokenRingPeak,
-			EventRingPeak:  ps.EventRingPeak,
-			Steals:         ps.Steals,
-			TrieEvents:     ds.Events,
-			TrieDeliveries: ds.Deliveries,
-			FaultHits:      faultinj.TotalInjected() - faults0,
-			Trace:          tr,
-		}
-		if wall > 0 {
-			fr.MBps = float64(sc.BytesRead) / (1 << 20) / wall.Seconds()
-		}
-		for _, b := range subs {
-			st, serr := b.Result()
-			if serr != nil && !errors.Is(serr, ErrNotRun) {
-				fr.PlanErrors++
-			}
-			if st.PeakHeapBufferBytes > fr.BufferPeak {
-				fr.BufferPeak = st.PeakHeapBufferBytes
-			}
-			fr.SpilledBytes += st.SpilledBytes
-			fr.RehydratedBytes += st.RehydratedBytes
-		}
-		if err != nil {
-			fr.Err = err.Error()
-			switch {
-			case errors.Is(err, context.DeadlineExceeded):
-				fr.CancelReason = "deadline"
-			case errors.Is(err, context.Canceled):
-				fr.CancelReason = "canceled"
-			}
-		}
-		rec.Record(fr)
+	if recorder != nil {
+		fr := rec
+		fr.Trace = tr
+		recorder.Record(fr)
 	}
-	return err
+	// The result's trace is the caller's tracing feature; a trace built
+	// only for slow-pass capture stays out of it.
+	if o.Trace {
+		rec.Trace = tr
+	}
+	res.Record = rec
+	return res, err
 }
 
 // evalSpan resolves the trace span of one riding plan (nil when tracing
@@ -670,45 +584,25 @@ func (o *PassObs) evalSpan(name string) *telemetry.Span {
 }
 
 // stampTrace finishes a pass's span tree: stage stall attribution, data
-// flow and ring peaks from the pass statistics.
-func (s *Set) stampTrace(tr *telemetry.Trace, obs *PassObs, sc xsax.ScanStats, ps PassStats, stall time.Duration) {
+// flow and ring peaks from the pass record.
+func stampTrace(tr *telemetry.Trace, obs *PassObs, rec *flightrec.Record) {
 	root := tr.Span()
-	root.AddStall(stall)
-	obs.Scan.AddBytes(sc.BytesRead)
-	obs.Scan.AddEvents(obs.Events)
-	if ps.Staged {
+	root.AddStall(rec.GateStall)
+	obs.Scan.AddBytes(rec.InputBytes)
+	obs.Scan.AddEvents(rec.Events)
+	if rec.Staged {
 		tok := obs.Scan.Child("tokenize")
-		tok.AddStall(ps.TokenizeStall)
-		tok.SetRingPeak(ps.TokenRingPeak)
+		tok.AddStall(rec.TokenizeStall)
+		tok.SetRingPeak(rec.TokenRingPeak)
 		val := obs.Scan.Child("validate")
-		val.AddStall(ps.ValidateStall)
-		val.SetRingPeak(ps.EventRingPeak)
+		val.AddStall(rec.ValidateStall)
+		val.SetRingPeak(rec.EventRingPeak)
 	}
 	tr.End()
 }
 
-// recordPass publishes one completed pass's statistics to the metric
-// bundle.
-func (s *Set) recordPass(mt *setMetrics, obs *PassObs, sc xsax.ScanStats, ps PassStats, stall, wall time.Duration) {
-	mt.passes.Inc()
-	mt.bytes.Add(sc.BytesRead)
-	mt.events.Add(obs.Events)
-	mt.batches.Add(obs.Batches)
-	mt.passSeconds.Observe(wall.Nanoseconds())
-	mt.passBytes.Observe(sc.BytesRead)
-	mt.stallGate.Add(stall.Nanoseconds())
-	mt.steals.Add(ps.Steals)
-	if ps.Staged {
-		mt.stallTokenize.Add(ps.TokenizeStall.Nanoseconds())
-		mt.stallValidate.Add(ps.ValidateStall.Nanoseconds())
-		mt.stallDispatch.Add(ps.DispatchStall.Nanoseconds())
-		mt.ringToken.Observe(int64(ps.TokenRingPeak))
-		mt.ringEvent.Observe(int64(ps.EventRingPeak))
-	}
-}
-
 // subRun drives one subscription's StepExec through a single dispatcher
-// pass, recording the result on the Sub when the execution settles.
+// pass, keeping the subscription's outcome when the execution settles.
 type subRun struct {
 	sub   *Sub
 	se    *runtime.StepExec
@@ -725,17 +619,21 @@ type subRun struct {
 	hist   *telemetry.Histogram
 	span   *telemetry.Span
 	t0     time.Time
-	// ledger (nil when cost attribution is off) receives the plan's
-	// settled pass outcome; evalCPU accumulates the plan's per-batch
-	// eval wall time for it, measured on the same t0 clock as hist/span.
-	ledger  *Ledger
+	// measure asks for per-batch eval timing for the cost ledger;
+	// evalCPU accumulates the plan's per-batch eval wall time, measured
+	// on the same t0 clock as hist/span.
+	measure bool
 	evalCPU time.Duration
+	// st, dur and err are the settled outcome.
+	st  runtime.Stats
+	dur time.Duration
+	err error
 }
 
 // measures reports whether the run needs per-batch eval timing (any of
 // the latency histogram, the trace span or the cost ledger is wired).
 func (rr *subRun) measures() bool {
-	return rr.hist != nil || rr.span != nil || rr.ledger != nil
+	return rr.hist != nil || rr.span != nil || rr.measure
 }
 
 func (rr *subRun) BeginFeed(evs []xsax.Event) {
@@ -795,19 +693,16 @@ func (rr *subRun) Close(cause error) {
 func (rr *subRun) finish(cause error) {
 	rr.done = true
 	st, err := rr.se.Close(cause)
+	if st != nil {
+		rr.st = *st
+	}
 	if rr.acct != nil {
 		as := rr.acct.Close()
-		if st != nil {
-			st.PeakHeapBufferBytes = as.PeakBytes
-			st.SpilledBytes = as.SpilledBytes
-			st.RehydratedBytes = as.RehydratedBytes
-			// BudgetStall is stamped by Set.Run once the pass ends, so
-			// every riding plan reports the same pass-wide stall.
-		}
+		rr.st.PeakHeapBufferBytes = as.PeakBytes
+		rr.st.SpilledBytes = as.SpilledBytes
+		rr.st.RehydratedBytes = as.RehydratedBytes
 	}
-	if st != nil {
-		st.PassID = rr.passID
-	}
-	rr.ledger.record(rr.sub.name, st, rr.evalCPU, err)
-	rr.sub.setResult(st, time.Since(rr.start), err)
+	rr.st.PassID = rr.passID
+	rr.dur = time.Since(rr.start)
+	rr.err = err
 }

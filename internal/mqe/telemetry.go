@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 
+	"fluxquery/internal/flightrec"
 	"fluxquery/internal/shared"
 	"fluxquery/internal/telemetry"
 )
@@ -106,15 +107,31 @@ func (mt *setMetrics) recordTrieBuild(t *shared.Trie, maxFanout int) {
 	mt.trieMaxFanout.Set(int64(maxFanout))
 }
 
-// recordDispatch publishes one completed pass's routing totals (no-op
-// for fanout-mode passes, whose DispatchStats carry no trie counters).
-func (mt *setMetrics) recordDispatch(ds DispatchStats) {
-	if ds.Events == 0 && ds.Deliveries == 0 && ds.Flushes == 0 {
+// recordPass publishes one completed pass's record to the metric
+// bundle; nil-safe.
+func (mt *setMetrics) recordPass(rec *flightrec.Record) {
+	if mt == nil {
 		return
 	}
-	mt.trieEvents.Add(ds.Events)
-	mt.trieDeliveries.Add(ds.Deliveries)
-	mt.trieFlushes.Add(ds.Flushes)
+	mt.passes.Inc()
+	mt.bytes.Add(rec.InputBytes)
+	mt.events.Add(rec.Events)
+	mt.batches.Add(rec.Batches)
+	mt.passSeconds.Observe(rec.Duration.Nanoseconds())
+	mt.passBytes.Observe(rec.InputBytes)
+	mt.stallGate.Add(rec.GateStall.Nanoseconds())
+	mt.steals.Add(rec.Steals)
+	if rec.Staged {
+		mt.stallTokenize.Add(rec.TokenizeStall.Nanoseconds())
+		mt.stallValidate.Add(rec.ValidateStall.Nanoseconds())
+		mt.stallDispatch.Add(rec.DispatchStall.Nanoseconds())
+		mt.ringToken.Observe(int64(rec.TokenRingPeak))
+		mt.ringEvent.Observe(int64(rec.EventRingPeak))
+	}
+	// Trie routing totals (all zero under plain fanout).
+	mt.trieEvents.Add(rec.TrieEvents)
+	mt.trieDeliveries.Add(rec.TrieDeliveries)
+	mt.trieFlushes.Add(rec.TrieFlushes)
 }
 
 // cancelled records a pass terminated by cancellation or deadline
@@ -150,11 +167,10 @@ func (mt *setMetrics) evalSeconds(plan string) *telemetry.Histogram {
 		telemetry.LatencyBuckets, telemetry.ScaleNanos, telemetry.L("plan", plan))
 }
 
-// PassObs carries one pass's observability hooks through the dispatcher.
-// The dispatcher accumulates stage timings into the spans and reports its
-// delivery totals in the exported fields when the pass ends. A nil
-// *PassObs disables all of it; the spans are nil-safe on top, so a
-// partially populated PassObs (metrics without tracing) works unchanged.
+// PassObs carries one pass's span hooks through the dispatcher, which
+// accumulates stage timings into them. A nil *PassObs disables timing;
+// the spans are nil-safe on top, so a PassObs without a trace works
+// unchanged.
 //
 // Span ownership: Scan and Dispatch are written by the goroutine driving
 // the pass loop. In a staged pass, stage attribution (tokenize and
@@ -166,8 +182,4 @@ type PassObs struct {
 	// i.e. the dispatch stall). Dispatch accrues fan-out plus
 	// slowest-consumer acknowledgement time.
 	Scan, Dispatch *telemetry.Span
-
-	// Batches and Events are the pass's delivery totals, filled by the
-	// dispatcher when the pass ends.
-	Batches, Events int64
 }

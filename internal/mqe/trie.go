@@ -4,6 +4,7 @@ import (
 	"io"
 	"time"
 
+	"fluxquery/internal/flightrec"
 	"fluxquery/internal/shared"
 	"fluxquery/internal/xmltok"
 	"fluxquery/internal/xsax"
@@ -65,32 +66,22 @@ func ParseDispatchMode(s string) (DispatchMode, bool) {
 	return DispatchFanout, false
 }
 
-// DispatchStats reports the dispatch-layer statistics of the most recent
-// shared pass.
+// DispatchStats receives one Dispatcher pass's trie-routing totals
+// (see Dispatcher.Disp). A Set records the same totals, with the trie
+// snapshot's shape, in the pass's flight record.
 type DispatchStats struct {
-	// Mode is the dispatch mode the pass ran with ("fanout", "trie").
-	Mode string
-	// Plans is the number of plans riding the pass.
-	Plans int
-	// TrieNodes, TrieLists and MaxFanout describe the trie snapshot the
-	// pass used (zero in fanout mode): interned product nodes, interned
-	// fan-out lists, and the widest list.
-	TrieNodes, TrieLists, MaxFanout int
 	// Events counts events routed through the trie; Deliveries counts
 	// per-plan event deliveries (the sum of fan-out sizes — the work a
 	// plain fanout pass would have multiplied by the plan count).
 	Events, Deliveries int64
 	// Flushes counts per-plan batch rendezvous.
 	Flushes int64
-	// BuildNanos is the time spent (re)building the trie snapshot, paid
-	// on the first Run after a registration change, not per pass.
-	BuildNanos int64
 }
 
 // runTrie is the trie-routed shared pass. It draws batches from the
 // same source as the fanout pass (see openPass) and routes their events
 // into per-class pending batches, bounded like the source's batches.
-func (d *Dispatcher) runTrie(r io.Reader, consumers []Consumer) (xsax.ScanStats, PassStats, error) {
+func (d *Dispatcher) runTrie(r io.Reader, consumers []Consumer, rec *flightrec.Record) error {
 	maxEvents := d.BatchEvents
 	if maxEvents <= 0 {
 		maxEvents = xsax.DefaultBatchEvents
@@ -137,19 +128,21 @@ func (d *Dispatcher) runTrie(r io.Reader, consumers []Consumer) (xsax.ScanStats,
 		pl.Recycle(vb)
 	}
 	s.finish(cause, pool)
-	sc, ps := closePass(pl, pool, batches)
+	closePass(pl, pool, rec)
+	rec.Batches, rec.Events = batches, s.events
+	rec.TrieEvents, rec.TrieDeliveries, rec.TrieFlushes = s.events, s.deliveries, s.flushes
 	if obs != nil {
 		obs.Scan.AddTime(scanTime)
-		obs.Scan.AddStall(ps.DispatchStall)
+		obs.Scan.AddStall(rec.DispatchStall)
 		obs.Dispatch.AddTime(dispTime)
-		obs.Batches = s.flushes
-		obs.Events = s.events
 	}
-	s.report(d.Disp)
+	if ds := d.Disp; ds != nil {
+		ds.Events, ds.Deliveries, ds.Flushes = s.events, s.deliveries, s.flushes
+	}
 	if cause == io.EOF {
-		return sc, ps, nil
+		return nil
 	}
-	return sc, ps, cause
+	return cause
 }
 
 // tframe is one open element on the trie walk: the interior node
@@ -343,14 +336,4 @@ func (s *trieSink) finish(cause error, pool *evalPool) {
 		xsax.PutBatch(s.pend[c])
 		s.pend[c] = nil
 	}
-}
-
-// report stamps the sink's routing totals onto the pass's DispatchStats.
-func (s *trieSink) report(ds *DispatchStats) {
-	if ds == nil {
-		return
-	}
-	ds.Events = s.events
-	ds.Deliveries = s.deliveries
-	ds.Flushes = s.flushes
 }

@@ -54,21 +54,22 @@ func TestTrieDispatchMatchesFanout(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := s.Run(strings.NewReader(doc)); err != nil {
+		res, err := s.RunPass(nil, strings.NewReader(doc), PassOptions{})
+		if err != nil {
 			t.Fatalf("mode=%v procs=%d: %v", mode, procs, err)
 		}
-		ds := s.LastDispatch()
-		if ds.Mode != mode.String() || ds.Plans != len(queries) {
+		ds := res.Record
+		if ds.Dispatch != mode.String() || ds.Plans != len(queries) {
 			t.Errorf("mode=%v procs=%d: dispatch stats %+v", mode, procs, ds)
 		}
-		if mode == DispatchTrie && (ds.TrieNodes == 0 || ds.Events == 0 || ds.Deliveries == 0 || ds.Flushes == 0) {
+		if mode == DispatchTrie && (ds.TrieNodes == 0 || ds.TrieEvents == 0 || ds.TrieDeliveries == 0 || ds.TrieFlushes == 0) {
 			t.Errorf("trie pass reported no routing work: %+v", ds)
 		}
-		res := make([]string, len(outs))
+		got := make([]string, len(outs))
 		for i, o := range outs {
-			res[i] = o.String()
+			got[i] = o.String()
 		}
-		return res
+		return got
 	}
 
 	want := run(DispatchFanout, 1)
@@ -96,11 +97,11 @@ func TestTrieInterningSharesNodes(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := s.Run(strings.NewReader(bibDoc(1))); err != nil {
+		res, err := s.RunPass(nil, strings.NewReader(bibDoc(1)), PassOptions{})
+		if err != nil {
 			t.Fatal(err)
 		}
-		ds := s.LastDispatch()
-		return ds.TrieNodes, ds.MaxFanout
+		return res.Record.TrieNodes, res.Record.TrieMaxFanout
 	}
 	n1, _ := nodesFor(1)
 	n64, f64 := nodesFor(64)
@@ -141,11 +142,7 @@ func TestTrieChurnSnapshotEqualsFresh(t *testing.T) {
 	var livePlans []*runtime.Plan
 
 	snapshot := func() *shared.Trie {
-		s.mu.Lock()
-		s.recomputeTrieLocked()
-		tr := s.trie
-		s.mu.Unlock()
-		return tr
+		return s.routingFor(nil, true, nil).trie
 	}
 
 	for step := 0; step < 120; step++ {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"fluxquery/internal/dtd"
+	"fluxquery/internal/flightrec"
 	"fluxquery/internal/telemetry"
 	"fluxquery/internal/xsax"
 )
@@ -44,7 +45,8 @@ func TestPassFormFollowsGOMAXPROCS(t *testing.T) {
 		time.Sleep(10 * time.Millisecond) // let earlier goroutines exit
 		before := goruntime.NumGoroutine()
 		disp := Dispatcher{DTD: d}
-		_, ps, err := disp.RunScanPass(strings.NewReader(doc), []Consumer{cs[0], cs[1]})
+		var ps flightrec.Record
+		err := disp.runPass(strings.NewReader(doc), []Consumer{cs[0], cs[1]}, &ps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,21 +84,21 @@ func (w *slowWriter) Write(p []byte) (int, error) {
 }
 
 // TestOnePlanStagedPassKeepsStageStats: a staged pass over a single plan
-// runs one feed worker, but it is still staged — LastPass and the trace
+// runs one feed worker, but it is still staged — the pass record and trace
 // carry its stage stalls and ring peaks.
 func TestOnePlanStagedPassKeepsStageStats(t *testing.T) {
 	withProcs(t, 2)
 	d := dtd.MustParse(weakBib)
 	s := NewSet(d)
-	s.SetTracing(true, "one")
 	var out slowWriter
 	if _, err := s.Register(plan(t, q3, d), &out); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(strings.NewReader(bibDoc(4000))); err != nil {
+	res, err := s.RunPass(nil, strings.NewReader(bibDoc(4000)), PassOptions{RequestID: "one", Trace: true})
+	if err != nil {
 		t.Fatal(err)
 	}
-	ps := s.LastPass()
+	ps := res.Record
 	if !ps.Staged || ps.Parallel != 1 || ps.Batches == 0 {
 		t.Fatalf("pass stats %+v, want a staged pass with one worker", ps)
 	}
@@ -106,7 +108,7 @@ func TestOnePlanStagedPassKeepsStageStats(t *testing.T) {
 	if ps.EventRingPeak == 0 || ps.TokenizeStall+ps.ValidateStall == 0 {
 		t.Errorf("a slow plan left no ring pressure: %+v", ps)
 	}
-	tr := s.LastTrace()
+	tr := ps.Trace
 	var scan *telemetry.Span
 	for _, ch := range tr.Root.Children {
 		if ch.Name == "scan" {
@@ -126,7 +128,7 @@ func TestOnePlanStagedPassKeepsStageStats(t *testing.T) {
 	}
 	if val.RingPeak != ps.EventRingPeak || val.Stall != ps.ValidateStall ||
 		tok.RingPeak != ps.TokenRingPeak || tok.Stall != ps.TokenizeStall {
-		t.Errorf("stage spans disagree with LastPass: tokenize %+v validate %+v pass %+v", tok, val, ps)
+		t.Errorf("stage spans disagree with the pass record: tokenize %+v validate %+v pass %+v", tok, val, ps)
 	}
 }
 

@@ -38,12 +38,13 @@ type Mode uint8
 const (
 	// ModeFast (the default) skips pruned subtrees in the tokenizer with a
 	// bulk end-tag scan: attributes, text and entities inside them are
-	// never materialized, and the region is checked for tag balance and a
-	// matching outer end tag only — element declarations and content
-	// models inside a pruned subtree are not enforced. Every delivered or
-	// shell element is still fully validated (its start tag, attributes
-	// and position in the parent's content model), so errors at the
-	// projection frontier are always caught.
+	// never materialized, interior start and end tags are only
+	// depth-counted (their names are not matched), and only the outer end
+	// tag's name is checked — element declarations, content models and
+	// interior tag-name matching inside a pruned subtree are not
+	// enforced. Every delivered or shell element is still fully validated
+	// (its start tag, attributes and position in the parent's content
+	// model), so errors at the projection frontier are always caught.
 	ModeFast Mode = iota
 	// ModeValidate filters delivery but still tokenizes and DTD-validates
 	// every event, including pruned regions: error behavior is exactly

@@ -22,10 +22,12 @@ type SkipCounts struct {
 // expansion, no text decoding, and a window that is discarded as it is
 // consumed, so arbitrarily large subtrees are skipped in constant memory.
 //
-// The skipped region is checked for tag balance (every start tag closed,
-// comments/CDATA/PIs terminated) and the outermost end tag's name is
-// verified against name; element names, attributes and content models
-// inside the region are NOT validated. Callers that need full validation
+// Inside the skipped region start and end tags are only depth-counted —
+// an interior end tag's name is never compared with the start tag it
+// closes, so <x></y> passes — and comments/CDATA/PIs must be terminated;
+// only the outermost end tag's name is verified against name. Element
+// names, attributes and content models inside the region are NOT
+// validated. Callers that need full validation (or full well-formedness)
 // of skipped regions must consume events conventionally instead (the
 // xsax filtered reader's validate mode does exactly that).
 //

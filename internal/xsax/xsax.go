@@ -174,9 +174,10 @@ func (r *Reader) Reset(rd io.Reader, d *dtd.DTD) {
 // SetProjection installs a projection automaton for the current stream:
 // only events the automaton deems relevant are delivered; pruned subtrees
 // become start/end shells. In fast mode pruned interiors are bulk-skipped
-// in the tokenizer (tag balance and the outer end-tag name are checked,
-// declarations and content models inside are not); otherwise they are
-// fully tokenized and validated, and merely not delivered. Projection is
+// in the tokenizer (interior tags are depth-counted and only the outer
+// end-tag name is checked; interior tag names, declarations and content
+// models are not); otherwise they are fully tokenized and validated, and
+// merely not delivered. Projection is
 // cleared by Reset, so it must be re-installed per stream.
 func (r *Reader) SetProjection(a *proj.Automaton, mode proj.Mode) {
 	if a == nil || mode == proj.ModeOff {

@@ -123,7 +123,8 @@ func runSharedDifferential(t *testing.T, dtdSrc string, queries []string, doc st
 				}
 				regs[i] = reg
 			}
-			if err := set.Run(strings.NewReader(doc)); err != nil {
+			res, err := set.RunPass(nil, strings.NewReader(doc), PassOptions{})
+			if err != nil {
 				t.Fatalf("mode=%v width=%d: %v", mode, w, err)
 			}
 			for i := range outs {
@@ -136,9 +137,9 @@ func runSharedDifferential(t *testing.T, dtdSrc string, queries []string, doc st
 						mode, w, i, queries[i], got, refs[i])
 				}
 			}
-			if ds := set.LastDispatch(); ds.Mode != mode.String() {
-				t.Errorf("mode=%v width=%d: LastDispatch mode %q", mode, w, ds.Mode)
-			} else if mode == DispatchTrie && ds.Deliveries == 0 && len(plans) > 0 {
+			if ds := res.Record; ds.Dispatch != mode.String() {
+				t.Errorf("mode=%v width=%d: pass record dispatch %q", mode, w, ds.Dispatch)
+			} else if mode == DispatchTrie && ds.TrieDeliveries == 0 && len(plans) > 0 {
 				t.Errorf("width=%d: trie pass delivered nothing: %+v", w, ds)
 			}
 		}
@@ -226,11 +227,11 @@ func TestMultiQueryTrieStatsFlat(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := set.RunString(doc); err != nil {
+		res, err := set.RunPass(nil, strings.NewReader(doc), PassOptions{})
+		if err != nil {
 			t.Fatal(err)
 		}
-		ds := set.LastDispatch()
-		return ds.TrieNodes, ds.MaxFanout
+		return res.Record.TrieNodes, res.Record.TrieMaxFanout
 	}
 	n1, _ := nodes(1)
 	n100, f100 := nodes(100)

@@ -111,14 +111,15 @@ func TestParallelStreamSetDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := set.Run(bytes.NewReader(doc.Bytes())); err != nil {
+		pr, err := set.RunPass(nil, bytes.NewReader(doc.Bytes()), PassOptions{})
+		if err != nil {
 			t.Fatalf("procs=%d: %v", procs, err)
 		}
 		res := make([]string, len(outs))
 		for i, o := range outs {
 			res[i] = o.String()
 		}
-		ps := set.LastPass()
+		ps := pr.Record
 		if ps.Staged != (procs >= 2) || ps.Parallel != procs || ps.Batches == 0 {
 			t.Errorf("procs=%d: pass metrics %+v", procs, ps)
 		}

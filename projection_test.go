@@ -142,7 +142,8 @@ func TestProjectionStreamSetUnion(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := set.Run(bytes.NewReader(doc.Bytes())); err != nil {
+		res, err := set.RunPass(nil, bytes.NewReader(doc.Bytes()), PassOptions{})
+		if err != nil {
 			t.Fatalf("proj=%v: %v", m, err)
 		}
 		for i, c := range cases {
@@ -150,9 +151,9 @@ func TestProjectionStreamSetUnion(t *testing.T) {
 				t.Errorf("proj=%v: %s diverges from solo run", m, c.Name)
 			}
 		}
-		sc := set.LastScan()
-		if sc.Passes != 1 {
-			t.Errorf("proj=%v: %d passes, want 1", m, sc.Passes)
+		sc := res.Record
+		if sc.InputBytes != int64(doc.Len()) {
+			t.Errorf("proj=%v: pass read %d bytes, want the document's %d once", m, sc.InputBytes, doc.Len())
 		}
 		if m == ProjectionOff && (sc.EventsDelivered != 0 || sc.EventsSkipped != 0) {
 			t.Errorf("proj=off recorded scan stats: %+v", sc)
@@ -166,7 +167,8 @@ func TestProjectionStreamSetUnion(t *testing.T) {
 		regs[1].Unregister()
 		regs[2].Unregister()
 		outs[0].Reset()
-		if err := set.Run(bytes.NewReader(doc.Bytes())); err != nil {
+		res, err = set.RunPass(nil, bytes.NewReader(doc.Bytes()), PassOptions{})
+		if err != nil {
 			t.Fatalf("proj=%v after unregister: %v", m, err)
 		}
 		if outs[0].String() != solo(narrow) {
@@ -175,7 +177,7 @@ func TestProjectionStreamSetUnion(t *testing.T) {
 		if m == ProjectionFast {
 			// A narrower union prunes higher in the tree: fewer but far
 			// larger skips, so raw bytes skipped must grow.
-			if after := set.LastScan(); after.BytesSkipped <= sc.BytesSkipped {
+			if after := res.Record; after.BytesSkipped <= sc.BytesSkipped {
 				t.Errorf("union did not narrow after unregister: %d -> %d bytes skipped",
 					sc.BytesSkipped, after.BytesSkipped)
 			}
@@ -211,6 +213,37 @@ func TestProjectionMalformedInsideSkippedRegion(t *testing.T) {
 		}
 		if _, _, err := p.ExecuteString(unbalanced); err == nil {
 			t.Errorf("proj=%v: tag imbalance inside skipped region not reported", m)
+		}
+	}
+
+	// An interior end tag naming the wrong element: the fast skip only
+	// depth-counts interior tags and matches the outer end tag by name,
+	// so it evaluates the document as if the tags matched; validate and
+	// off tokenize the region and reject it.
+	const mixedDTD = `<!ELEMENT bib (book)*>
+<!ELEMENT book (title|publisher)*>
+<!ELEMENT title (#PCDATA)>
+<!ELEMENT publisher (#PCDATA|x|y)*>
+<!ELEMENT x (#PCDATA)>
+<!ELEMENT y (#PCDATA)>`
+	const titles = `<results>{ for $b in $ROOT/bib/book return $b/title }</results>`
+	const mismatched = `<bib><book><title>T</title><publisher><x></y></publisher></book></bib>`
+	const matched = `<bib><book><title>T</title><publisher><x></x></publisher></book></bib>`
+	for _, m := range projModes {
+		p := MustCompile(titles, mixedDTD, Options{Projection: m})
+		out, _, err := p.ExecuteString(mismatched)
+		if m != ProjectionFast {
+			if err == nil || !strings.Contains(err.Error(), "does not match") {
+				t.Errorf("proj=%v: interior end-tag name mismatch not reported: %v", m, err)
+			}
+			continue
+		}
+		want, _, werr := p.ExecuteString(matched)
+		if werr != nil {
+			t.Fatal(werr)
+		}
+		if err != nil || out != want || !strings.Contains(out, "<title>T</title>") {
+			t.Errorf("fast: interior name mismatch = %q, %v; want the matched document's %q", out, err, want)
 		}
 	}
 }

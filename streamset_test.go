@@ -394,3 +394,91 @@ func BenchmarkStreamSetScaling(b *testing.B) {
 		})
 	}
 }
+
+// TestConcurrentRunPass: passes that supply their own sinks run
+// concurrently on one set. Four goroutines run five passes each, every
+// pass into its own buffers, under both dispatch modes and at
+// GOMAXPROCS 1 and 2. Every output must be byte-identical to the
+// plan's own Execute, and every pass's per-query statistics must equal
+// those of a serialized pass over the same set.
+func TestConcurrentRunPass(t *testing.T) {
+	d, plans, doc := auctionPlans(t)
+	want := make([][]byte, len(plans))
+	for i, p := range plans {
+		var out bytes.Buffer
+		if _, err := p.Execute(bytes.NewReader(doc), &out); err != nil {
+			t.Fatal(err)
+		}
+		want[i] = out.Bytes()
+	}
+	const workers, passes = 4, 5
+	for _, procs := range []int{1, 2} {
+		for _, mode := range []Dispatch{DispatchFanout, DispatchTrie} {
+			withProcs(t, procs)
+			set := NewStreamSet(d)
+			set.SetDispatch(mode)
+			regs := make([]*StreamQuery, len(plans))
+			for i, p := range plans {
+				reg, err := set.Register(p, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				regs[i] = reg
+			}
+			// pass runs one pass into fresh buffers and checks its outputs.
+			pass := func() (PassResult, error) {
+				outs := make([]bytes.Buffer, len(regs))
+				sinks := make(map[*StreamQuery]io.Writer, len(regs))
+				for i, q := range regs {
+					sinks[q] = &outs[i]
+				}
+				res, err := set.RunPass(nil, bytes.NewReader(doc), PassOptions{Sinks: sinks})
+				if err != nil {
+					return res, err
+				}
+				for i := range regs {
+					if !bytes.Equal(outs[i].Bytes(), want[i]) {
+						return res, fmt.Errorf("plan %d: output differs from Execute", i)
+					}
+				}
+				return res, nil
+			}
+			ref, err := pass()
+			if err != nil {
+				t.Fatalf("procs=%d dispatch=%v serialized pass: %v", procs, mode, err)
+			}
+			var wg sync.WaitGroup
+			errs := make(chan error, workers*passes)
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for n := 0; n < passes; n++ {
+						res, err := pass()
+						if err != nil {
+							errs <- err
+							return
+						}
+						for i, q := range regs {
+							got, ok1 := res.Query(q)
+							exp, ok2 := ref.Query(q)
+							if !ok1 || !ok2 || got.Err != nil ||
+								got.Stats.Events != exp.Stats.Events ||
+								got.Stats.OutputBytes != exp.Stats.OutputBytes ||
+								got.Stats.PeakBufferBytes != exp.Stats.PeakBufferBytes {
+								errs <- fmt.Errorf("plan %d: concurrent pass stats %+v (err %v), serialized %+v",
+									i, got.Stats, got.Err, exp.Stats)
+								return
+							}
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Errorf("procs=%d dispatch=%v: %v", procs, mode, err)
+			}
+		}
+	}
+}

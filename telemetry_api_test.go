@@ -74,16 +74,16 @@ func TestStreamSetTelemetryAndTrace(t *testing.T) {
 	}
 	set := NewStreamSet(d)
 	set.SetTelemetry(tel)
-	set.SetTracing(true, "req-42")
 	p := MustCompile(paperQuery, xmlgen.WeakBibDTD, Options{})
 	if _, err := set.RegisterNamed(p, io.Discard, "books"); err != nil {
 		t.Fatal(err)
 	}
-	if err := set.Run(strings.NewReader(telemetryDoc(200))); err != nil {
+	res, err := set.RunPass(nil, strings.NewReader(telemetryDoc(200)), PassOptions{RequestID: "req-42", Trace: true})
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	tr := set.LastTrace()
+	tr := res.Record.Trace
 	if tr == nil || tr.ID != "req-42" || tr.PassID == 0 {
 		t.Fatalf("trace = %+v", tr)
 	}
@@ -149,14 +149,14 @@ func TestTraceSpansSumToWall(t *testing.T) {
 		var lastRatio float64
 		for attempt := 0; attempt < 5; attempt++ {
 			set := NewStreamSet(d)
-			set.SetTracing(true, "sum")
 			if _, err := set.Register(p, io.Discard); err != nil {
 				t.Fatal(err)
 			}
-			if err := set.Run(strings.NewReader(doc)); err != nil {
+			res, err := set.RunPass(nil, strings.NewReader(doc), PassOptions{RequestID: "sum", Trace: true})
+			if err != nil {
 				t.Fatal(err)
 			}
-			tr := set.LastTrace()
+			tr := res.Record.Trace
 			var sum time.Duration
 			for _, ch := range tr.Root.Children {
 				sum += ch.Dur
@@ -291,7 +291,6 @@ func TestTelemetryOverhead(t *testing.T) {
 		{"recorder+ledger", func(s *StreamSet) {
 			s.SetRecorder(NewFlightRecorder(FlightRecorderConfig{}))
 			s.SetLedger(NewQueryLedger())
-			s.SetRequestID("overhead")
 		}},
 	} {
 		on := measure(tc.configure)
